@@ -4,7 +4,7 @@
 
 use bench::{bench_engine, bench_view, synthetic_hits};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qurator::compile::DATASET_INPUT;
+use qurator::compile::{enact, DATASET_INPUT};
 use qurator_workflow::{Context, Enactor};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -29,7 +29,8 @@ fn bench_interpret_vs_compiled(c: &mut Criterion) {
         let engine = bench_engine();
         group.bench_with_input(BenchmarkId::new("compiled", items), &items, |b, _| {
             b.iter(|| {
-                let (out, _) = engine.execute_compiled(black_box(&spec), &dataset).expect("runs");
+                let workflow = engine.compile(black_box(&spec)).expect("compiles");
+                let (out, _) = enact(&workflow, &spec, &dataset).expect("runs");
                 engine.finish_execution();
                 black_box(out)
             })

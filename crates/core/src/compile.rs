@@ -27,14 +27,23 @@
 //! and workflow wiring in [`crate::exec`]. `compile` here is the
 //! composition of the two, kept as the stable entry point (its structural
 //! tests below double as the Figure 6 contract for the whole pipeline).
+//!
+//! The compiled workflow is the §6 deployment artifact: [`crate::deploy`]
+//! embeds it into a host workflow. [`enact`] runs it standalone — the
+//! encode → enact → decode round trip the equivalence tests and the E5
+//! bench compare with the interpreter.
 
+use crate::engine::ActionOutcome;
+use crate::operators::GroupResult;
+use crate::spec::{ActionKind, QualityViewSpec};
 use crate::validate::ValidatedView;
-use crate::{exec, planner, Result};
+use crate::{convert, exec, planner, QuratorError, Result};
 use qurator_annotations::RepositoryCatalog;
 use qurator_ontology::IqModel;
 use qurator_plan::PlanConfig;
-use qurator_services::ServiceRegistry;
-use qurator_workflow::Workflow;
+use qurator_services::{DataSet, ServiceRegistry};
+use qurator_workflow::{Context, Data, EnactmentReport, Enactor, Workflow};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Node name of the single Data-Enrichment operator.
@@ -64,30 +73,66 @@ pub fn compile_with(
     catalog: &RepositoryCatalog,
     config: &PlanConfig,
 ) -> Result<Workflow> {
-    compile_collecting(view, iq, registry, catalog, config).map(|(workflow, _)| workflow)
+    let plan = planner::physical_plan(view, iq, config)?;
+    exec::bind(&plan, iq, registry, catalog)?.into_workflow(&plan)
 }
 
-/// Like [`compile_with`], but also hands back the bound plan's
-/// observed-statistics collector, which the workflow's operators record
-/// into as the enactor runs them. The engine drains it after each run so
-/// EXPLAIN ANALYZE covers the compiled path too.
-pub fn compile_collecting(
-    view: &ValidatedView,
-    iq: &Arc<IqModel>,
-    registry: &ServiceRegistry,
-    catalog: &RepositoryCatalog,
-    config: &PlanConfig,
-) -> Result<(Workflow, Arc<qurator_telemetry::stats::StatsCollector>)> {
-    let plan = planner::physical_plan(view, iq, config)?;
-    let bound = exec::bind(&plan, iq, registry, catalog)?;
-    let stats = bound.stats.clone();
-    Ok((bound.into_workflow(&plan)?, stats))
+/// Runs a compiled view over `dataset` on the wave-parallel enactor and
+/// decodes the action outputs. Pure with respect to the engine: nothing
+/// reaches its decision ledger, stats profiles, trace retainer or
+/// execution counters. Callers that want the operators' observed stats
+/// bind the plan themselves and drain [`exec::BoundPlan::stats`].
+pub fn enact(
+    workflow: &Workflow,
+    spec: &QualityViewSpec,
+    dataset: &DataSet,
+) -> Result<(ActionOutcome, EnactmentReport)> {
+    let inputs = BTreeMap::from([(DATASET_INPUT.to_string(), convert::dataset_to_data(dataset))]);
+    let report = Enactor::new().run(workflow, &inputs, &Context::new())?;
+    let outcome = decode_outcome(spec, &report.outputs)?;
+    Ok((outcome, report))
+}
+
+/// Decodes workflow outputs into an [`ActionOutcome`], preserving the
+/// spec's action/group declaration order — the inverse of the output
+/// ports [`exec::BoundPlan::into_workflow`] declares.
+fn decode_outcome(
+    spec: &QualityViewSpec,
+    outputs: &BTreeMap<String, Data>,
+) -> Result<ActionOutcome> {
+    let mut expected: Vec<String> = Vec::new();
+    for action in &spec.actions {
+        match &action.kind {
+            ActionKind::Filter { .. } => expected.push(action.name.clone()),
+            ActionKind::Split { groups } => {
+                for (group, _) in groups {
+                    expected.push(format!("{}/{group}", action.name));
+                }
+                expected.push(format!("{}/default", action.name));
+            }
+        }
+    }
+    let mut result = Vec::with_capacity(expected.len());
+    for name in expected {
+        let data = outputs.get(&name).ok_or_else(|| {
+            QuratorError::Execution(format!("workflow produced no output {name:?}"))
+        })?;
+        let dataset =
+            convert::data_to_dataset(data.field("dataset").ok_or_else(|| {
+                QuratorError::Execution(format!("group {name:?} lacks dataset"))
+            })?)?;
+        let map = convert::data_to_map(
+            data.field("map")
+                .ok_or_else(|| QuratorError::Execution(format!("group {name:?} lacks map")))?,
+        )?;
+        result.push(GroupResult { name, dataset, map });
+    }
+    Ok(ActionOutcome { groups: result })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ActionKind, QualityViewSpec};
     use crate::validate::validate;
     use qurator_rdf::namespace::q;
     use qurator_services::stdlib::{

@@ -1,26 +1,25 @@
 //! The top-level quality engine: IQ model + service registry + repository
-//! catalog + binding registry, with two execution paths.
+//! catalog + binding registry, with one executor.
 //!
-//! * [`QualityEngine::execute_view`] — the direct interpreter: runs the
-//!   abstract quality process in-process (the "rapid prototyping" loop the
-//!   paper motivates — edit conditions, re-run, observe);
-//! * [`QualityEngine::execute_compiled`] — the paper's §6 path: compile to
-//!   a workflow, enact it, decode the action outputs. Both paths produce
-//!   identical [`ActionOutcome`]s (covered by integration tests).
+//! [`QualityEngine::execute_view`] interprets the abstract quality process
+//! in-process (the "rapid prototyping" loop the paper motivates — edit
+//! conditions, re-run, observe): validate, plan, bind, then walk the bound
+//! plan node by node, recording spans, observed stats and decision
+//! provenance in-line. `execute_view_with` selects a
+//! [`qurator_plan::PlanConfig`] (the unoptimized baseline) and
+//! `execute_view_run` takes a caller-minted [`RunId`].
 //!
-//! Both paths start from the same [`qurator_plan::PhysicalPlan`]: the
-//! interpreter walks the bound plan sequentially
-//! ([`QualityEngine::execute_physical`]); the compiled path wires the
-//! same bound operators into a workflow and enacts it wave-parallel.
+//! [`QualityEngine::compile`] lowers the same plan into a workflow — the
+//! paper's §6 deployment artifact for embedding into host workflows
+//! ([`crate::deploy`]); [`crate::compile::enact`] runs it standalone.
 //! [`QualityEngine::plan_with`] exposes the plan itself (the `qv plan`
-//! EXPLAIN surface), and the `*_with` variants accept a
-//! [`qurator_plan::PlanConfig`] to select the unoptimized baseline.
+//! EXPLAIN surface).
 
 use crate::compile;
 use crate::operators::GroupResult;
-use crate::spec::{ActionDecl, ActionKind, QualityViewSpec};
+use crate::spec::QualityViewSpec;
 use crate::validate::{self, ValidatedView};
-use crate::{convert, exec, planner, QuratorError, Result};
+use crate::{exec, planner, QuratorError, Result};
 use parking_lot::RwLock;
 use qurator_annotations::RepositoryCatalog;
 use qurator_ontology::binding::BindingRegistry;
@@ -36,7 +35,7 @@ use qurator_telemetry::{
     ActionRecord, AssertionRecord, DecisionLedger, DecisionTrace, EvidenceRecord, LedgerEvent,
     LedgerValue, RunId, TelemetryConfig, TraceMeta, TraceRetainer,
 };
-use qurator_workflow::{Context, Data, EnactmentReport, Enactor, Workflow};
+use qurator_workflow::Workflow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -66,8 +65,8 @@ impl ActionOutcome {
 
 /// Correlation context for one finished execution: the [`RunId`] minted
 /// at the entry point (a served request, a CLI invocation) plus the
-/// outcome facts the retainer's tail-sampling policy keys on. Built
-/// internally by the `execute_*` family and handed to the observability
+/// outcome facts the retainer's tail-sampling policy keys on. Built by
+/// the executor once a run finishes and handed to the observability
 /// sink so the retained trace, the ledger slice and any drift crossing
 /// all reference the same id.
 #[derive(Debug, Clone)]
@@ -316,8 +315,8 @@ impl QualityEngine {
         self.ledger.find(needle)
     }
 
-    /// The span trace of the most recent execution on this engine
-    /// (either path), if any.
+    /// The span trace of the most recent execution on this engine, if
+    /// any.
     pub fn last_trace(&self) -> Option<SpanTrace> {
         self.last_trace.read().clone()
     }
@@ -439,8 +438,8 @@ impl QualityEngine {
         Ok(planner::logical_plan(&view, &self.iq))
     }
 
-    /// The optimized physical plan of a view — what both executors will
-    /// run, and what `qv plan` renders.
+    /// The optimized physical plan of a view — what the executor runs,
+    /// what the compiled workflow wires, and what `qv plan` renders.
     pub fn plan(&self, spec: &QualityViewSpec) -> Result<PhysicalPlan> {
         self.plan_with(spec, &PlanConfig::default())
     }
@@ -514,7 +513,7 @@ impl QualityEngine {
                         // graph-shape checks need the wired workflow …
                         diags.extend(qurator_qvlint::workflow::analyze_graph(&workflow, span));
                         // … while the usage findings (WF003/WF004) read
-                        // the plan IR both executors consume
+                        // the plan IR the workflow was lowered from
                         let logical = planner::logical_plan(view, &self.iq);
                         if let Ok(physical) =
                             planner::physical_plan(view, &self.iq, &PlanConfig::default())
@@ -552,32 +551,44 @@ impl QualityEngine {
     /// (e.g. `qv serve` echoing `X-QV-Run-Id`) use
     /// [`QualityEngine::execute_view_run`] instead.
     pub fn execute_view(&self, spec: &QualityViewSpec, dataset: &DataSet) -> Result<ActionOutcome> {
-        self.execute_view_with(spec, dataset, &PlanConfig::default())
+        self.execute(spec, dataset, &PlanConfig::default(), RunId::mint())
     }
 
-    /// Direct interpretation under a caller-minted run id.
-    pub fn execute_view_run(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        run: RunId,
-    ) -> Result<ActionOutcome> {
-        self.execute_view_run_with(spec, dataset, &PlanConfig::default(), run)
-    }
-
-    /// Direct interpretation under an explicit plan configuration.
+    /// Direct interpretation under an explicit plan configuration
+    /// (`optimize: false` runs the `--no-opt` baseline plan).
     pub fn execute_view_with(
         &self,
         spec: &QualityViewSpec,
         dataset: &DataSet,
         config: &PlanConfig,
     ) -> Result<ActionOutcome> {
-        self.execute_view_run_with(spec, dataset, config, RunId::mint())
+        self.execute(spec, dataset, config, RunId::mint())
     }
 
-    /// Direct interpretation under an explicit plan configuration and a
-    /// caller-minted run id.
-    pub fn execute_view_run_with(
+    /// Direct interpretation under a caller-minted run id: the root
+    /// `view:` span, the retained trace, the ledger's decision traces and
+    /// any drift crossing this run trips all carry `run`.
+    pub fn execute_view_run(
+        &self,
+        spec: &QualityViewSpec,
+        dataset: &DataSet,
+        run: RunId,
+    ) -> Result<ActionOutcome> {
+        self.execute(spec, dataset, &PlanConfig::default(), run)
+    }
+
+    /// The executor: validates the spec, lowers it to a physical plan,
+    /// binds the plan to services and repositories, then walks the nodes
+    /// in process order ([`QualityEngine::run_physical`]). Each plan node
+    /// leaves a `node:<name>` span, so the interpreter's trace and the
+    /// enactor's events for the compiled workflow name the same units of
+    /// work.
+    ///
+    /// The trace is always finished: on an error the `view:` span is
+    /// tagged with the error text, remaining open spans are closed at the
+    /// failure instant, and the trace still reaches the retainer (error
+    /// traces are always kept) and `last_trace`.
+    fn execute(
         &self,
         spec: &QualityViewSpec,
         dataset: &DataSet,
@@ -585,72 +596,11 @@ impl QualityEngine {
         run: RunId,
     ) -> Result<ActionOutcome> {
         let view = self.validate(spec)?;
-        self.execute_validated_run_with(&view, dataset, config, run)
-    }
-
-    /// Direct interpretation of an already-validated view.
-    pub fn execute_validated(
-        &self,
-        view: &ValidatedView,
-        dataset: &DataSet,
-    ) -> Result<ActionOutcome> {
-        self.execute_validated_with(view, dataset, &PlanConfig::default())
-    }
-
-    /// Direct interpretation of an already-validated view under an
-    /// explicit plan configuration.
-    pub fn execute_validated_with(
-        &self,
-        view: &ValidatedView,
-        dataset: &DataSet,
-        config: &PlanConfig,
-    ) -> Result<ActionOutcome> {
-        self.execute_validated_run_with(view, dataset, config, RunId::mint())
-    }
-
-    /// Direct interpretation of an already-validated view under an
-    /// explicit plan configuration and a caller-minted run id.
-    pub fn execute_validated_run_with(
-        &self,
-        view: &ValidatedView,
-        dataset: &DataSet,
-        config: &PlanConfig,
-        run: RunId,
-    ) -> Result<ActionOutcome> {
-        let plan = planner::physical_plan(view, &self.iq, config)?;
-        self.execute_physical_run(&plan, dataset, run)
-    }
-
-    /// The sequential plan walker: binds the physical plan to services
-    /// and repositories, then runs the nodes in process order. Each plan
-    /// node leaves a `node:<name>` span, so the interpreter's trace and
-    /// the enactor's events name the same units of work.
-    ///
-    /// The trace is always finished: on an error the `view:` span is
-    /// tagged with the error text, remaining open spans are closed at the
-    /// failure instant, and the trace still reaches the retainer (error
-    /// traces are always kept) and `last_trace`.
-    pub fn execute_physical(
-        &self,
-        plan: &PhysicalPlan,
-        dataset: &DataSet,
-    ) -> Result<ActionOutcome> {
-        self.execute_physical_run(plan, dataset, RunId::mint())
-    }
-
-    /// The sequential plan walker under a caller-minted run id: the root
-    /// `view:` span, the retained trace, the ledger's decision traces and
-    /// any drift crossing this run trips all carry `run`.
-    pub fn execute_physical_run(
-        &self,
-        plan: &PhysicalPlan,
-        dataset: &DataSet,
-        run: RunId,
-    ) -> Result<ActionOutcome> {
+        let plan = planner::physical_plan(&view, &self.iq, config)?;
         qurator_telemetry::metrics()
             .counter_with("engine.execute.count", &[("path", "interpreted")])
             .inc();
-        let bound = exec::bind(plan, &self.iq, &self.registry, &self.catalog)?;
+        let bound = exec::bind(&plan, &self.iq, &self.registry, &self.catalog)?;
         bound.stats.set_enabled(self.stats_enabled());
         let session = TraceSession::new();
         let mut rec = session.recorder();
@@ -660,7 +610,7 @@ impl QualityEngine {
         rec.attr(view_span, "items", dataset.len());
         rec.attr(view_span, "mode", if plan.optimized { "optimized" } else { "baseline" });
 
-        let result = self.run_physical(plan, &bound, dataset, &mut rec, view_span, run);
+        let result = self.run_physical(&plan, &bound, dataset, &mut rec, view_span, run);
         let (error, rejected) = match &result {
             Ok((_, rejected)) => (false, *rejected),
             Err(e) => {
@@ -724,8 +674,8 @@ impl QualityEngine {
         }
 
         // the Consolidate node is implicit here — the walker accumulates
-        // into a single map — but it is recorded so both executors leave
-        // the same node names behind
+        // into a single map — but it is recorded so the trace names the
+        // same nodes as the compiled workflow
         let consolidate_span = rec.start(
             format!("node:{}", qurator_plan::CONSOLIDATE_NODE),
             SpanKind::Node,
@@ -896,151 +846,6 @@ impl QualityEngine {
         Ok((groups, rejected))
     }
 
-    /// The full §6 path: compile, enact, decode.
-    pub fn execute_compiled(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-    ) -> Result<(ActionOutcome, EnactmentReport)> {
-        self.execute_compiled_with(spec, dataset, &PlanConfig::default())
-    }
-
-    /// The §6 path under a caller-minted run id.
-    pub fn execute_compiled_run(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        run: RunId,
-    ) -> Result<(ActionOutcome, EnactmentReport)> {
-        self.execute_compiled_run_with(spec, dataset, &PlanConfig::default(), run)
-    }
-
-    /// The §6 path under an explicit plan configuration.
-    pub fn execute_compiled_with(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        config: &PlanConfig,
-    ) -> Result<(ActionOutcome, EnactmentReport)> {
-        self.execute_compiled_run_with(spec, dataset, config, RunId::mint())
-    }
-
-    /// The §6 path under an explicit plan configuration and a
-    /// caller-minted run id.
-    pub fn execute_compiled_run_with(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        config: &PlanConfig,
-        run: RunId,
-    ) -> Result<(ActionOutcome, EnactmentReport)> {
-        qurator_telemetry::metrics()
-            .counter_with("engine.execute.count", &[("path", "compiled")])
-            .inc();
-        let view = self.validate(spec)?;
-        let (workflow, stats) =
-            compile::compile_collecting(&view, &self.iq, &self.registry, &self.catalog, config)?;
-        stats.set_enabled(self.stats_enabled());
-        let inputs = BTreeMap::from([(
-            compile::DATASET_INPUT.to_string(),
-            convert::dataset_to_data(dataset),
-        )]);
-        let report = Enactor::new().with_run_id(run).run(&workflow, &inputs, &Context::new())?;
-        self.note_run_stats(stats.drain(&spec.name, Some(run), dataset.len() as u64));
-        let outcome = decode_outcome(spec, &report.outputs)?;
-        if self.ledger.enabled() {
-            self.record_compiled_provenance(spec, dataset, &outcome, &report, run);
-        }
-        let rejected = spec
-            .actions
-            .iter()
-            .filter(|a| matches!(a.kind, ActionKind::Filter { .. }))
-            .filter_map(|a| outcome.group(&a.name))
-            .map(|g| dataset.len().saturating_sub(g.dataset.len()) as u64)
-            .sum();
-        self.observe_trace(
-            report.trace().clone(),
-            RunContext { run_id: run, view: spec.name.clone(), error: false, rejected },
-        );
-        Ok((outcome, report))
-    }
-
-    /// Reconstructs per-item provenance from a decoded enactment outcome.
-    ///
-    /// The compiled path runs inside the workflow engine, so the records
-    /// are recovered from the surviving group maps rather than observed
-    /// in-line; they link to the producing *node* spans of the enactment
-    /// trace instead of interpreter phase spans.
-    fn record_compiled_provenance(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        outcome: &ActionOutcome,
-        report: &EnactmentReport,
-        run: RunId,
-    ) {
-        let node_span = |node: &str| report.event(node).and_then(|e| e.span).map(|s| s.0);
-        let enrich_span = node_span(compile::DATA_ENRICHMENT);
-        // service name that produced each tag (declaration order; later
-        // declarations with the same tag win, matching accumulation order)
-        let tag_service: BTreeMap<&str, &str> = spec
-            .assertions
-            .iter()
-            .map(|d| (d.tag_name.as_str(), d.service_name.as_str()))
-            .collect();
-        let mut evidence: Vec<(String, Vec<EvidenceRecord>)> = Vec::new();
-        let mut assertions: Vec<(String, Vec<AssertionRecord>)> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        let mut interned: HashMap<&str, Arc<str>> = HashMap::new();
-        for group in &outcome.groups {
-            for it in group.map.items() {
-                let key = item_key(it);
-                if !seen.insert(key.clone()) {
-                    continue;
-                }
-                let Some(row) = group.map.item(it) else { continue };
-                evidence.push((
-                    key.clone(),
-                    row.evidence_entries()
-                        .map(|(property, value)| EvidenceRecord {
-                            property: Arc::from(property.local_name()),
-                            value: capture_value(&mut interned, value),
-                            source: None,
-                            span: enrich_span,
-                        })
-                        .collect(),
-                ));
-                assertions.push((
-                    key,
-                    row.tag_entries()
-                        .map(|(tag, value)| AssertionRecord {
-                            property: Arc::from(tag),
-                            value: capture_value(&mut interned, value),
-                            assertion: tag_service.get(tag).map(|s| Arc::from(*s)),
-                            span: tag_service.get(tag).and_then(|service| node_span(service)),
-                        })
-                        .collect(),
-                ));
-            }
-        }
-        self.ledger.record_evidence_bulk(Some(run), evidence);
-        self.ledger.record_assertions_bulk(Some(run), assertions);
-        for action in &spec.actions {
-            let results: Vec<GroupResult> = outcome
-                .groups
-                .iter()
-                .filter(|g| {
-                    g.name == action.name || g.name.starts_with(&format!("{}/", action.name))
-                })
-                .cloned()
-                .collect();
-            self.ledger.record_actions_bulk(
-                Some(run),
-                action_records(action, &results, dataset, node_span(&action.name)),
-            );
-        }
-    }
-
     /// Drops all cache-repository contents (between process executions).
     pub fn finish_execution(&self) -> usize {
         self.catalog.clear_caches()
@@ -1084,103 +889,11 @@ fn capture_value<'a>(
     }
 }
 
-/// Builds the per-item action records for one action's group results:
-/// group members are `accepted`; for filters, non-members are `rejected`
-/// (a splitter's non-members land in its default group instead).
-fn action_records(
-    action: &ActionDecl,
-    results: &[GroupResult],
-    dataset: &DataSet,
-    span: Option<u64>,
-) -> Vec<(String, ActionRecord)> {
-    let mut batch = Vec::new();
-    match &action.kind {
-        ActionKind::Filter { condition } => {
-            let Some(group) = results.first() else { return batch };
-            let members: HashSet<&Term> = group.dataset.items().iter().collect();
-            let name: Arc<str> = Arc::from(group.name.as_str());
-            let condition: Arc<str> = Arc::from(condition.as_str());
-            let (accepted, rejected): (Arc<str>, Arc<str>) =
-                (Arc::from("accepted"), Arc::from("rejected"));
-            for it in dataset.items() {
-                let is_member = members.contains(it);
-                batch.push((
-                    item_key(it),
-                    ActionRecord {
-                        group: name.clone(),
-                        outcome: if is_member { accepted.clone() } else { rejected.clone() },
-                        condition: Some(condition.clone()),
-                        span,
-                    },
-                ));
-            }
-        }
-        ActionKind::Split { groups } => {
-            let accepted: Arc<str> = Arc::from("accepted");
-            for result in results {
-                let condition: Option<Arc<str>> = groups
-                    .iter()
-                    .find(|(name, _)| result.name.ends_with(&format!("/{name}")))
-                    .map(|(_, c)| Arc::from(c.as_str()));
-                let name: Arc<str> = Arc::from(result.name.as_str());
-                for it in result.dataset.items() {
-                    batch.push((
-                        item_key(it),
-                        ActionRecord {
-                            group: name.clone(),
-                            outcome: accepted.clone(),
-                            condition: condition.clone(),
-                            span,
-                        },
-                    ));
-                }
-            }
-        }
-    }
-    batch
-}
-
-/// Decodes workflow outputs into an [`ActionOutcome`], preserving the
-/// spec's action/group declaration order.
-fn decode_outcome(
-    spec: &QualityViewSpec,
-    outputs: &BTreeMap<String, Data>,
-) -> Result<ActionOutcome> {
-    let mut expected: Vec<String> = Vec::new();
-    for action in &spec.actions {
-        match &action.kind {
-            ActionKind::Filter { .. } => expected.push(action.name.clone()),
-            ActionKind::Split { groups } => {
-                for (group, _) in groups {
-                    expected.push(format!("{}/{group}", action.name));
-                }
-                expected.push(format!("{}/default", action.name));
-            }
-        }
-    }
-    let mut result = Vec::with_capacity(expected.len());
-    for name in expected {
-        let data = outputs.get(&name).ok_or_else(|| {
-            QuratorError::Execution(format!("workflow produced no output {name:?}"))
-        })?;
-        let dataset =
-            convert::data_to_dataset(data.field("dataset").ok_or_else(|| {
-                QuratorError::Execution(format!("group {name:?} lacks dataset"))
-            })?)?;
-        let map = convert::data_to_map(
-            data.field("map")
-                .ok_or_else(|| QuratorError::Execution(format!("group {name:?} lacks map")))?,
-        )?;
-        result.push(GroupResult { name, dataset, map });
-    }
-    Ok(ActionOutcome { groups: result })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{ActionDecl, ActionKind};
     use qurator_annotations::EvidenceValue;
-    use qurator_rdf::term::Term;
 
     fn item(n: u32) -> Term {
         Term::iri(format!("urn:lsid:pedro.man.ac.uk:hit:H{n}"))
@@ -1236,7 +949,8 @@ mod tests {
         let dataset = imprint_dataset();
         let interpreted = engine.execute_view(&spec, &dataset).unwrap();
         engine.finish_execution();
-        let (compiled, report) = engine.execute_compiled(&spec, &dataset).unwrap();
+        let workflow = engine.compile(&spec).unwrap();
+        let (compiled, report) = compile::enact(&workflow, &spec, &dataset).unwrap();
         assert_eq!(interpreted, compiled);
         assert!(report.events.len() >= 6);
     }
@@ -1393,27 +1107,6 @@ mod tests {
         let trace = engine.last_trace().expect("trace recorded");
         trace.validate().expect("interpreter span tree is well-formed");
         assert!(trace.roots().any(|s| s.name.starts_with("view:")));
-    }
-
-    #[test]
-    fn ledger_records_provenance_on_compiled_path() {
-        let engine = QualityEngine::with_proteomics_defaults().unwrap();
-        engine.set_provenance_enabled(true);
-        let mut spec = QualityViewSpec::paper_example();
-        spec.actions[0].kind =
-            ActionKind::Filter { condition: "ScoreClass in q:high, q:mid and HR_MC > 0".into() };
-        let (outcome, _report) = engine.execute_compiled(&spec, &imprint_dataset()).unwrap();
-        let kept = outcome.group("filter top k score").unwrap();
-        assert!(!kept.dataset.is_empty());
-        // survivors carry full provenance reconstructed from the group maps
-        let key = item_key(&kept.dataset.items()[0]);
-        let trace = engine.why(&key).expect("trace for surviving item");
-        assert!(trace.evidence.iter().any(|e| e.property.as_ref() == "HitRatio"));
-        assert!(trace.assertions.iter().any(|a| a.property.as_ref() == "ScoreClass"));
-        assert!(trace
-            .actions
-            .iter()
-            .any(|a| a.group.as_ref() == "filter top k score" && a.outcome.as_ref() == "accepted"));
     }
 
     #[test]

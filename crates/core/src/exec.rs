@@ -1,8 +1,8 @@
 //! Binding physical plans to executable operators — the **single** place
-//! where plan nodes become processors. The direct interpreter walks the
+//! where plan nodes become processors. The engine's executor walks the
 //! bound operators sequentially; [`BoundPlan::into_workflow`] wires the
-//! same operators into a workflow graph for the wave-parallel enactor
-//! (§6.1 rules 1–5). One lowering, two execution engines.
+//! same operators into the §6 deployment workflow (§6.1 rules 1–5) that
+//! hosts embed and the wave-parallel enactor runs.
 
 use crate::operators::{
     ActionProcessor, AnnotatorProcessor, AssertionProcessor, CompiledAction, ConsolidateProcessor,
@@ -34,9 +34,9 @@ pub struct BoundPlan {
     /// in plan order.
     pub actions: Vec<(String, Arc<ActionProcessor>)>,
     /// The shared observed-statistics sink every operator above records
-    /// into. Both execution engines drain it after a run, so EXPLAIN
-    /// ANALYZE sees identical counters on the interpreted and compiled
-    /// paths.
+    /// into, whether the executor walks them or the enactor runs them as
+    /// workflow processors. The executor drains it after each run for
+    /// EXPLAIN ANALYZE.
     pub stats: Arc<StatsCollector>,
 }
 

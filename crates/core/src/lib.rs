@@ -32,8 +32,9 @@
 //! * [`deploy`] — deployment descriptors for embedding compiled views
 //!   into host workflows (§6.2);
 //! * [`engine`] — [`engine::QualityEngine`], the top-level API bundling
-//!   IQ model, service registry and repository catalog, with both a
-//!   direct interpreter and the compile-to-workflow path;
+//!   IQ model, service registry and repository catalog, with the one
+//!   executor (a direct plan interpreter) and the compile-to-workflow
+//!   entry point;
 //! * [`library`] — a shareable catalog of community views (paper §7
 //!   future work (iv)).
 //!

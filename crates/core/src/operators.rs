@@ -348,8 +348,8 @@ impl AssertionProcessor {
         self
     }
 
-    /// Runs the assertion directly (shared with the interpreter path, so
-    /// classification counting covers both execution modes).
+    /// Runs the assertion directly (shared by the executor and the
+    /// workflow processor, so classification counting covers both).
     pub fn assert_quality(&self, map: &mut AnnotationMap) -> Result<()> {
         let started = Instant::now();
         self.service

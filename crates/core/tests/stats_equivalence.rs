@@ -1,12 +1,14 @@
 //! Observed-statistics equivalence: the per-node counters EXPLAIN
-//! ANALYZE reports must not depend on *how* the view ran. The
-//! wave-parallel compiled path merges per-worker collectors, so its sums
-//! must agree with the sequential interpreter; and the counters must be
+//! ANALYZE reports must not depend on *how* the view ran. The compiled
+//! workflow's operators record from the enactor's parallel workers into
+//! one shared collector, so its sums must agree with the sequential
+//! interpreter; and the counters must be
 //! identical whether the persistent repository is the in-memory store or
 //! the on-disk store (the analyze rendering is part of the
 //! backend-equivalence contract).
 
 use qurator::prelude::*;
+use qurator::{compile, exec, planner};
 use qurator_plan::render::render_analyze_text;
 use qurator_plan::PlanConfig;
 use qurator_rdf::storage::test_support::TempDir;
@@ -72,8 +74,12 @@ fn parallel_enactment_stats_agree_with_the_sequential_interpreter() {
     let sequential = interpreter.last_run_stats().expect("interpreter stats");
 
     let compiled = QualityEngine::with_proteomics_defaults().unwrap();
-    compiled.execute_compiled_run(&spec, &data, RunId::from_u64(2)).unwrap();
-    let merged = compiled.last_run_stats().expect("compiled stats");
+    let view = compiled.validate(&spec).unwrap();
+    let plan = planner::physical_plan(&view, compiled.iq(), &PlanConfig::default()).unwrap();
+    let bound = exec::bind(&plan, compiled.iq(), compiled.registry(), compiled.catalog()).unwrap();
+    let workflow = bound.into_workflow(&plan).unwrap();
+    compile::enact(&workflow, &spec, &data).unwrap();
+    let merged = bound.stats.drain(&plan.view, Some(RunId::from_u64(2)), data.len() as u64);
 
     assert_eq!(sequential.items, merged.items);
     assert_eq!(

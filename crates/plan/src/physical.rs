@@ -67,9 +67,8 @@ pub struct PassReport {
     pub notes: Vec<String>,
 }
 
-/// The physical plan both executors consume: the sequential interpreter
-/// walks it phase by phase; the workflow compiler lowers it onto the
-/// wave-parallel enactment engine.
+/// The physical plan the engine's executor walks phase by phase and the
+/// workflow compiler lowers onto the wave-parallel enactment engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhysicalPlan {
     /// View name.

@@ -21,7 +21,7 @@
 //!   unreachable nodes, repository write/read mismatches, wave-width
 //!   hints);
 //! * [`plan`] — the WF003/WF004 usage findings rebased onto the typed
-//!   plan IR (`qurator-plan`), which both executors consume;
+//!   plan IR (`qurator-plan`) that the executor and compiler consume;
 //! * [`sparql`] — analysis of SPARQL query text (syntax, unbound
 //!   projected variables, cartesian-product joins, unknown prefixes).
 //!

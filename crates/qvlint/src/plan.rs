@@ -5,8 +5,8 @@
 //! every declared annotator (the optimizer's dead-node elimination prunes
 //! write-only volatile ones from the physical plan, which is exactly what
 //! WF003 wants to warn about), and the *physical* plan carries the wave
-//! schedule both executors follow, so the WF004 width hint describes what
-//! will actually run. Graph-only checks (WF001/WF002) stay with
+//! schedule the compiled workflow follows, so the WF004 width hint
+//! describes what will actually run. Graph-only checks (WF001/WF002) stay with
 //! [`crate::workflow::analyze_graph`].
 
 use crate::workflow::{wave_width_hint, write_only_repositories};

@@ -4,8 +4,9 @@
 //! span that produced it.
 //!
 //! Recording is gated on an `AtomicBool` (one relaxed load when
-//! disabled), and the bulk APIs take the write lock once per phase, not
-//! once per item, so a ledger-enabled run stays close to a disabled one.
+//! disabled), and [`DecisionLedger::record_traces_bulk`] takes the write
+//! lock once per run, not once per item, so a ledger-enabled run stays
+//! close to a disabled one.
 //!
 //! Every record carries the [`RunId`] of the run that produced it, so
 //! [`DecisionLedger::for_run`] can slice the ledger by run — the piece
@@ -283,31 +284,6 @@ impl TraceStore {
             }
         }
     }
-
-    /// Get-or-create the trace for `item`, stamping `run` when given.
-    /// When the existing trace belongs to a *different* run, its records
-    /// are cleared first: a run's bundle must never carry a previous
-    /// run's decisions for the same item, and a long-lived serve engine
-    /// re-running the same items must not accumulate records without
-    /// bound.
-    fn upsert(&mut self, item: String, run: Option<RunId>) -> &mut DecisionTrace {
-        if !self.map.contains_key(&item) {
-            self.evict_for_insert();
-            self.order.push_back(item.clone());
-            self.map.insert(
-                item.clone(),
-                DecisionTrace { item: item.clone(), run_id: run, ..DecisionTrace::default() },
-            );
-        }
-        let trace = self.map.get_mut(&item).expect("present after insert");
-        if run.is_some() && trace.run_id != run {
-            trace.run_id = run;
-            trace.evidence.clear();
-            trace.assertions.clear();
-            trace.actions.clear();
-        }
-        trace
-    }
 }
 
 /// The ledger itself: item IRI → [`DecisionTrace`], recording gated on an
@@ -355,12 +331,14 @@ impl DecisionLedger {
         }
     }
 
-    /// Records complete traces for many items in one lock acquisition —
-    /// the cheapest write path (one map operation per item, no key
-    /// re-hashing per phase). An existing trace for the same item is
-    /// merged (records append) when the incoming trace belongs to the
-    /// same run (or carries no run id), and *replaced* when a new run
-    /// produced it — see [`TraceStore::upsert`] for why.
+    /// Records complete traces for many items in one lock acquisition
+    /// (one map operation per item) — the ledger's only write path. An
+    /// existing trace for the same item is merged (records append) when
+    /// the incoming trace belongs to the same run (or carries no run id),
+    /// and *replaced* when a new run produced it: a run's bundle must
+    /// never carry a previous run's decisions for the same item, and a
+    /// long-lived serve engine re-running the same items must not
+    /// accumulate records without bound.
     pub fn record_traces_bulk(&self, traces: Vec<DecisionTrace>) {
         if !self.enabled() || traces.is_empty() {
             return;
@@ -384,48 +362,6 @@ impl DecisionLedger {
             store.evict_for_insert();
             store.order.push_back(trace.item.clone());
             store.map.insert(trace.item.clone(), trace);
-        }
-    }
-
-    /// Records evidence values for many items in one lock acquisition,
-    /// stamped with the producing run. Each entry is `(item, records)`.
-    pub fn record_evidence_bulk(
-        &self,
-        run: Option<RunId>,
-        entries: Vec<(String, Vec<EvidenceRecord>)>,
-    ) {
-        if !self.enabled() || entries.is_empty() {
-            return;
-        }
-        let mut store = self.traces.write().unwrap();
-        for (item, records) in entries {
-            store.upsert(item, run).evidence.extend(records);
-        }
-    }
-
-    /// Records assertion outputs for many items in one lock acquisition.
-    pub fn record_assertions_bulk(
-        &self,
-        run: Option<RunId>,
-        entries: Vec<(String, Vec<AssertionRecord>)>,
-    ) {
-        if !self.enabled() || entries.is_empty() {
-            return;
-        }
-        let mut store = self.traces.write().unwrap();
-        for (item, records) in entries {
-            store.upsert(item, run).assertions.extend(records);
-        }
-    }
-
-    /// Records action outcomes for many items in one lock acquisition.
-    pub fn record_actions_bulk(&self, run: Option<RunId>, entries: Vec<(String, ActionRecord)>) {
-        if !self.enabled() || entries.is_empty() {
-            return;
-        }
-        let mut store = self.traces.write().unwrap();
-        for (item, record) in entries {
-            store.upsert(item, run).actions.push(record);
         }
     }
 
@@ -511,24 +447,28 @@ impl DecisionLedger {
 mod tests {
     use super::*;
 
-    fn sample_evidence() -> Vec<(String, Vec<EvidenceRecord>)> {
-        vec![(
-            "urn:lsid:t:h:1".to_string(),
-            vec![EvidenceRecord {
+    const ITEM: &str = "urn:lsid:t:h:1";
+
+    /// One item's trace carrying a single evidence record.
+    fn sample_trace(item: &str, run: Option<RunId>) -> DecisionTrace {
+        DecisionTrace {
+            run_id: run,
+            evidence: vec![EvidenceRecord {
                 property: "HitRatio".into(),
                 value: "0.9".into(),
                 source: Some("PedroRepo".into()),
                 span: Some(4),
             }],
-        )]
+            ..DecisionTrace::new(item)
+        }
     }
 
     #[test]
     fn disabled_ledger_records_nothing() {
         let ledger = DecisionLedger::new();
-        ledger.record_evidence_bulk(None, sample_evidence());
+        ledger.record_traces_bulk(vec![sample_trace(ITEM, None)]);
         assert!(ledger.is_empty());
-        assert!(ledger.why("urn:lsid:t:h:1").is_none());
+        assert!(ledger.why(ITEM).is_none());
     }
 
     #[test]
@@ -536,32 +476,22 @@ mod tests {
         let ledger = DecisionLedger::new();
         ledger.set_enabled(true);
         let run = RunId::mint();
-        ledger.record_evidence_bulk(Some(run), sample_evidence());
-        ledger.record_assertions_bulk(
-            Some(run),
-            vec![(
-                "urn:lsid:t:h:1".to_string(),
-                vec![AssertionRecord {
-                    property: "ScoreClass".into(),
-                    value: "q:high".into(),
-                    assertion: Some("PIScore".into()),
-                    span: Some(7),
-                }],
-            )],
-        );
-        ledger.record_actions_bulk(
-            Some(run),
-            vec![(
-                "urn:lsid:t:h:1".to_string(),
-                ActionRecord {
-                    group: "filter top k score".into(),
-                    outcome: "accepted".into(),
-                    condition: Some("ScoreClass in q:high".into()),
-                    span: Some(9),
-                },
-            )],
-        );
-        let trace = ledger.why("urn:lsid:t:h:1").unwrap();
+        ledger.record_traces_bulk(vec![DecisionTrace {
+            assertions: vec![AssertionRecord {
+                property: "ScoreClass".into(),
+                value: "q:high".into(),
+                assertion: Some("PIScore".into()),
+                span: Some(7),
+            }],
+            actions: vec![ActionRecord {
+                group: "filter top k score".into(),
+                outcome: "accepted".into(),
+                condition: Some("ScoreClass in q:high".into()),
+                span: Some(9),
+            }],
+            ..sample_trace(ITEM, Some(run))
+        }]);
+        let trace = ledger.why(ITEM).unwrap();
         assert_eq!(trace.run_id, Some(run));
         assert_eq!(trace.evidence.len(), 1);
         assert_eq!(trace.assertions[0].value.to_string(), "q:high");
@@ -573,7 +503,7 @@ mod tests {
         // suffix find
         let found = ledger.find("h:1");
         assert_eq!(found.len(), 1);
-        assert_eq!(found[0].item, "urn:lsid:t:h:1");
+        assert_eq!(found[0].item, ITEM);
         assert!(ledger.find("nope").is_empty());
     }
 
@@ -581,11 +511,11 @@ mod tests {
     fn json_rendering_parses() {
         let ledger = DecisionLedger::new();
         ledger.set_enabled(true);
-        ledger.record_evidence_bulk(Some(RunId::from_u64(0xFEED)), sample_evidence());
-        let json = ledger.why("urn:lsid:t:h:1").unwrap().to_json();
+        ledger.record_traces_bulk(vec![sample_trace(ITEM, Some(RunId::from_u64(0xFEED)))]);
+        let json = ledger.why(ITEM).unwrap().to_json();
         let value = crate::json::parse(&json).unwrap();
         let obj = value.as_object().unwrap();
-        assert_eq!(obj.get("item").and_then(|v| v.as_str()), Some("urn:lsid:t:h:1"));
+        assert_eq!(obj.get("item").and_then(|v| v.as_str()), Some(ITEM));
         assert_eq!(obj.get("run_id").and_then(|v| v.as_str()), Some("000000000000feed"));
         assert_eq!(obj.get("evidence").and_then(|v| v.as_array()).map(|a| a.len()), Some(1));
     }
@@ -596,15 +526,22 @@ mod tests {
         ledger.set_enabled(true);
         let first = RunId::mint();
         let second = RunId::mint();
-        ledger.record_evidence_bulk(Some(first), sample_evidence());
-        ledger.record_evidence_bulk(Some(second), vec![("urn:lsid:t:h:2".to_string(), vec![])]);
+        ledger.record_traces_bulk(vec![sample_trace(ITEM, Some(first))]);
+        ledger.record_traces_bulk(vec![DecisionTrace {
+            run_id: Some(second),
+            ..DecisionTrace::new("urn:lsid:t:h:2")
+        }]);
         assert_eq!(ledger.for_run(first).len(), 1);
-        assert_eq!(ledger.for_run(first)[0].item, "urn:lsid:t:h:1");
+        assert_eq!(ledger.for_run(first)[0].item, ITEM);
         assert_eq!(ledger.for_run(second)[0].item, "urn:lsid:t:h:2");
-        // re-recording the same item under a new run moves it over
-        ledger.record_evidence_bulk(Some(second), sample_evidence());
+        // the same run writing the item again merges its records …
+        ledger.record_traces_bulk(vec![sample_trace(ITEM, Some(first))]);
+        assert_eq!(ledger.why(ITEM).unwrap().evidence.len(), 2);
+        // … while a new run replaces them and moves the item over
+        ledger.record_traces_bulk(vec![sample_trace(ITEM, Some(second))]);
         assert!(ledger.for_run(first).is_empty());
         assert_eq!(ledger.for_run(second).len(), 2);
+        assert_eq!(ledger.why(ITEM).unwrap().evidence.len(), 1);
         // events slice the same way
         ledger.record_event(LedgerEvent {
             kind: "qa.drift.threshold".into(),

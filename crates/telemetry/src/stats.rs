@@ -215,8 +215,8 @@ impl StatsCollector {
     }
 
     /// Takes everything recorded so far as a [`RunStats`] and resets the
-    /// collector for the next run (bound plans are reused across runs on
-    /// the compiled path).
+    /// collector for the next run (a compiled workflow reuses its bound
+    /// operators, and so this collector, across enactments).
     pub fn drain(&self, view: &str, run_id: Option<RunId>, items: u64) -> RunStats {
         let nodes = std::mem::take(&mut *self.nodes.lock().unwrap_or_else(|p| p.into_inner()));
         RunStats { view: view.to_string(), run_id, items, nodes }

@@ -11,9 +11,7 @@ use crate::model::{PortRef, Workflow};
 use crate::processor::{Context, Inputs, Outputs, Processor};
 use crate::{Result, WorkflowError};
 use qurator_telemetry::span::Span;
-use qurator_telemetry::{
-    Histogram, RunId, SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession,
-};
+use qurator_telemetry::{Histogram, SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -110,12 +108,11 @@ impl EnactmentReport {
 #[derive(Debug, Clone)]
 pub struct Enactor {
     parallel: bool,
-    run_id: Option<RunId>,
 }
 
 impl Default for Enactor {
     fn default() -> Self {
-        Enactor { parallel: true, run_id: None }
+        Enactor { parallel: true }
     }
 }
 
@@ -127,14 +124,7 @@ impl Enactor {
 
     /// A strictly sequential enactor.
     pub fn sequential() -> Self {
-        Enactor { parallel: false, run_id: None }
-    }
-
-    /// Stamps the enactment's root `view:` span with a caller-minted run
-    /// id, so compiled-path traces correlate like interpreted ones.
-    pub fn with_run_id(mut self, run: RunId) -> Self {
-        self.run_id = Some(run);
-        self
+        Enactor { parallel: false }
     }
 
     /// Validates and executes the workflow.
@@ -151,9 +141,6 @@ impl Enactor {
         let session = TraceSession::new();
         let mut main_rec = session.recorder();
         let view_span = main_rec.start(format!("view:{}", workflow.name()), SpanKind::View, None);
-        if let Some(run) = self.run_id {
-            main_rec.attr(view_span, "run_id", run.to_string());
-        }
         main_rec.attr(view_span, "waves", waves.len());
         main_rec.attr(view_span, "parallel", self.parallel);
 

@@ -1,7 +1,8 @@
 //! End-to-end integration: the complete §6.3 experiment through every
-//! layer — XML quality view, semantic validation, both execution paths,
-//! workflow embedding, and the Figure 7 statistics.
+//! layer — XML quality view, semantic validation, the interpreter and the
+//! compiled workflow, workflow embedding, and the Figure 7 statistics.
 
+use qurator::compile::enact;
 use qurator::deploy::DeploymentPlan;
 use qurator::prelude::*;
 use qurator_proteomics::{World, WorldConfig};
@@ -63,7 +64,8 @@ fn interpreter_and_compiled_agree_on_real_spots() {
 
         let interpreted = engine.execute_view(&view, &dataset).expect("interprets");
         engine.finish_execution();
-        let (compiled, _) = engine.execute_compiled(&view, &dataset).expect("compiles+runs");
+        let workflow = engine.compile(&view).expect("compiles");
+        let (compiled, _) = enact(&workflow, &view, &dataset).expect("enacts");
         engine.finish_execution();
         assert_eq!(interpreted, compiled, "spot {}", peak_list.spot_id);
     }
@@ -267,7 +269,8 @@ fn multi_action_views_agree_across_paths() {
     }
     let interpreted = engine.execute_view(&spec, &dataset).expect("interprets");
     engine.finish_execution();
-    let (compiled, _) = engine.execute_compiled(&spec, &dataset).expect("compiles");
+    let workflow = engine.compile(&spec).expect("compiles");
+    let (compiled, _) = enact(&workflow, &spec, &dataset).expect("enacts");
     assert_eq!(interpreted, compiled);
     assert_eq!(
         interpreted.group_names(),

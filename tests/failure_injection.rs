@@ -176,7 +176,8 @@ fn deep_chain_of_tag_dependencies_compiles_and_runs() {
     let dataset = hits(6);
     let direct = engine.execute_view(&spec, &dataset).expect("interprets");
     engine.finish_execution();
-    let (compiled, _) = engine.execute_compiled(&spec, &dataset).expect("compiled");
+    let workflow = engine.compile(&spec).expect("compiles");
+    let (compiled, _) = qurator::compile::enact(&workflow, &spec, &dataset).expect("enacts");
     assert_eq!(direct, compiled);
     assert!(!direct.groups[0].dataset.is_empty());
 }

@@ -197,10 +197,7 @@ type TraceProjection = (
     Vec<(String, String, Option<String>)>,
 );
 
-fn project_ledger(
-    engine: &QualityEngine,
-    with_sources: bool,
-) -> std::collections::BTreeMap<String, TraceProjection> {
+fn project_ledger(engine: &QualityEngine) -> std::collections::BTreeMap<String, TraceProjection> {
     engine
         .ledger()
         .items()
@@ -211,9 +208,11 @@ fn project_ledger(
                 .evidence
                 .iter()
                 .map(|e| {
-                    let source =
-                        if with_sources { e.source.as_ref().map(|s| s.to_string()) } else { None };
-                    (e.property.to_string(), e.value.to_string(), source)
+                    (
+                        e.property.to_string(),
+                        e.value.to_string(),
+                        e.source.as_ref().map(|s| s.to_string()),
+                    )
                 })
                 .collect();
             evidence.sort();
@@ -251,12 +250,11 @@ fn project_ledger(
 fn run_interpreted(
     spec: &QualityViewSpec,
     config: &qurator_plan::PlanConfig,
-    with_sources: bool,
 ) -> (qurator::engine::ActionOutcome, std::collections::BTreeMap<String, TraceProjection>) {
     let engine = engine();
     engine.set_provenance_enabled(true);
     let outcome = engine.execute_view_with(spec, dataset(), config).expect("accepted view runs");
-    let ledger = project_ledger(&engine, with_sources);
+    let ledger = project_ledger(&engine);
     engine.finish_execution();
     (outcome, ledger)
 }
@@ -265,9 +263,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// For every view the analyzer accepts, three executions must agree:
     /// the interpreter over the optimized plan, the interpreter over the
-    /// `--no-opt` baseline plan, and the compiled wave engine. Agreement
-    /// covers the [`ActionOutcome`] (groups, members, maps) and the
-    /// per-item `why(item)` decision ledgers.
+    /// `--no-opt` baseline plan, and the compiled workflow on the
+    /// wave-parallel enactor. All three agree on the [`ActionOutcome`]
+    /// (groups, members, maps); the two interpreter runs also agree on
+    /// the per-item `why(item)` decision ledgers, evidence sources
+    /// included.
     #[test]
     fn optimized_baseline_and_compiled_executions_agree(
         use_score2 in any::<bool>(),
@@ -297,49 +297,17 @@ proptest! {
 
         // interpreter, optimized plan vs --no-opt baseline: everything
         // must match, including evidence sources
-        let (opt_outcome, opt_ledger) = run_interpreted(&spec, &optimize, true);
-        let (raw_outcome, raw_ledger) = run_interpreted(&spec, &baseline, true);
+        let (opt_outcome, opt_ledger) = run_interpreted(&spec, &optimize);
+        let (raw_outcome, raw_ledger) = run_interpreted(&spec, &baseline);
         prop_assert_eq!(&opt_outcome, &raw_outcome, "optimizer changed the outcome");
         prop_assert_eq!(&opt_ledger, &raw_ledger, "optimizer changed the decision ledger");
 
-        // compiled wave engine: same outcome; the ledger is reconstructed
-        // from the surviving group maps, so compare the survivors'
-        // records without the interpreter-only source attribution
+        // the compiled workflow, enacted wave-parallel: same outcome
         let compiled_engine = engine();
-        compiled_engine.set_provenance_enabled(true);
+        let workflow = compiled_engine.compile(&spec).expect("accepted view compiles");
         let (compiled_outcome, _report) =
-            compiled_engine.execute_compiled(&spec, dataset()).expect("accepted view enacts");
-        let compiled_ledger = project_ledger(&compiled_engine, false);
+            qurator::compile::enact(&workflow, &spec, dataset()).expect("accepted view enacts");
         compiled_engine.finish_execution();
         prop_assert_eq!(&opt_outcome, &compiled_outcome, "paths disagree on the outcome");
-
-        let (_, sourceless_ledger) = run_interpreted(&spec, &optimize, false);
-        // ledger keys are the bare IRI of the item term
-        let survivors: std::collections::BTreeSet<String> = compiled_outcome
-            .groups
-            .iter()
-            .flat_map(|g| {
-                g.dataset.items().iter().map(|t| {
-                    t.as_iri().map(|i| i.as_str().to_string()).unwrap_or_else(|| t.to_string())
-                })
-            })
-            .collect();
-        prop_assert!(
-            compiled_outcome.groups.iter().all(|g| g.dataset.is_empty())
-                || !survivors.is_disjoint(&compiled_ledger.keys().cloned().collect()),
-            "survivor keys never match ledger keys — projection is vacuous"
-        );
-        for (item, compiled_projection) in &compiled_ledger {
-            let interpreted = sourceless_ledger.get(item);
-            prop_assert!(interpreted.is_some(), "compiled-only ledger item {item}");
-            let interpreted = interpreted.unwrap();
-            // action records exist for every item on both paths
-            prop_assert_eq!(&interpreted.2, &compiled_projection.2, "actions differ for {}", item);
-            // evidence/assertion records are reconstructed for survivors
-            if survivors.contains(item) {
-                prop_assert_eq!(&interpreted.0, &compiled_projection.0, "evidence differs for {}", item);
-                prop_assert_eq!(&interpreted.1, &compiled_projection.1, "assertions differ for {}", item);
-            }
-        }
     }
 }
