@@ -175,13 +175,17 @@ impl AnnotationMap {
 
     /// Restricts the map to the given items (used by split actions to ship
     /// each group with its own sub-map — paper §4.1: output consists of
-    /// pairs `(D_i, Amap_i)`).
+    /// pairs `(D_i, Amap_i)`). Items come in `keep`'s order; repeats are
+    /// dropped as in [`Self::for_items`] (first seen wins) and items this
+    /// map does not hold are ignored.
     pub fn restrict(&self, keep: &[Term]) -> AnnotationMap {
         let mut out = AnnotationMap::new();
         for item in keep {
             if let Some(row) = self.rows.get(item) {
-                out.order.push(item.clone());
-                out.rows.insert(item.clone(), row.clone());
+                if !out.rows.contains_key(item) {
+                    out.order.push(item.clone());
+                    out.rows.insert(item.clone(), row.clone());
+                }
             }
         }
         out
@@ -315,9 +319,14 @@ mod prop_tests {
     use qurator_rdf::namespace::q;
 
     proptest! {
-        /// restrict(items()) is the identity; restrict is idempotent.
+        /// restrict(items()) is the identity; restrict is idempotent; a
+        /// keep list with repeats and absent items yields each present
+        /// item once, in first-seen order, with one row per item.
         #[test]
-        fn restrict_laws(values in proptest::collection::vec((0u32..12, -100f64..100.0), 0..30)) {
+        fn restrict_laws(
+            values in proptest::collection::vec((0u32..12, -100f64..100.0), 0..30),
+            picks in proptest::collection::vec(0u32..16, 0..40),
+        ) {
             let mut m = AnnotationMap::new();
             for (i, v) in &values {
                 m.set_evidence(&Term::iri(format!("urn:lsid:t:h:{i}")), q::iri("HR"), (*v).into());
@@ -328,6 +337,20 @@ mod prop_tests {
             let once = m.restrict(&keep);
             let twice = once.restrict(&keep);
             prop_assert_eq!(once, twice);
+
+            let keep: Vec<Term> =
+                picks.iter().map(|i| Term::iri(format!("urn:lsid:t:h:{i}"))).collect();
+            let sub = m.restrict(&keep);
+            prop_assert_eq!(sub.len(), sub.rows().count());
+            let unique: HashSet<&Term> = sub.items().iter().collect();
+            prop_assert_eq!(unique.len(), sub.len());
+            let mut first_seen: Vec<Term> = Vec::new();
+            for item in keep.iter().filter(|item| m.item(item).is_some()) {
+                if !first_seen.contains(item) {
+                    first_seen.push(item.clone());
+                }
+            }
+            prop_assert_eq!(sub.items(), &first_seen[..]);
         }
 
         /// column_stats mean is bounded by min/max of the inputs.

@@ -750,15 +750,15 @@ impl QualityEngine {
                         members: start,
                         span,
                     },
+                    // the groups in start..end follow the plan's conditions
+                    // in order; the trailing default group has none (group
+                    // names may contain '/', so they cannot be matched)
                     ActKind::Split { groups: conditions } => ActionPlan::Split {
                         targets: (start..end)
                             .map(|i| {
-                                let result = &groups[i];
-                                let condition = conditions
-                                    .iter()
-                                    .find(|(name, _)| result.name.ends_with(&format!("/{name}")))
-                                    .map(|(_, c)| Arc::from(c.as_str()));
-                                (Arc::from(result.name.as_str()), condition, i)
+                                let condition =
+                                    conditions.get(i - start).map(|(_, c)| Arc::from(c.as_str()));
+                                (Arc::from(groups[i].name.as_str()), condition, i)
                             })
                             .collect(),
                         span,
@@ -977,6 +977,34 @@ mod tests {
         let total: usize = outcome.groups.iter().map(|g| g.dataset.len()).sum();
         // disjoint conditions here: groups + default cover the input
         assert_eq!(total, 5);
+    }
+
+    #[test]
+    fn split_provenance_names_each_groups_own_condition() {
+        // "not/strong" ends with "/strong": matching conditions by name
+        // suffix would credit its members with the "strong" condition
+        let engine = QualityEngine::with_proteomics_defaults().unwrap();
+        engine.set_provenance_enabled(true);
+        let conditions =
+            [("strong", "ScoreClass in q:high"), ("not/strong", "ScoreClass in q:low")];
+        let mut spec = QualityViewSpec::paper_example();
+        spec.actions[0].kind = ActionKind::Split {
+            groups: conditions.iter().map(|&(g, c)| (g.into(), c.into())).collect(),
+        };
+        let outcome = engine.execute_view(&spec, &imprint_dataset()).unwrap();
+        for (group, _) in conditions {
+            let members = &outcome.group(&format!("filter top k score/{group}")).unwrap().dataset;
+            assert!(!members.is_empty(), "{group} must have members for the check to bite");
+        }
+        for n in 1..=5 {
+            let trace = engine.why(&format!("urn:lsid:pedro.man.ac.uk:hit:H{n}")).unwrap();
+            assert!(!trace.actions.is_empty(), "H{n} lands in some group");
+            for record in &trace.actions {
+                let group = record.group.strip_prefix("filter top k score/").unwrap();
+                let own = conditions.iter().find(|&&(g, _)| g == group).map(|&(_, c)| c);
+                assert_eq!(record.condition.as_deref(), own, "H{n} in {group}");
+            }
+        }
     }
 
     #[test]
