@@ -6,7 +6,6 @@
 //! DESIGN.md's experiment index.
 
 use qurator::prelude::*;
-use qurator_rdf::namespace::q;
 use qurator_rdf::term::Term;
 
 /// Builds an Imprint-shaped dataset of `n` synthetic hit entries with a
@@ -106,24 +105,6 @@ pub fn bench_engine() -> QualityEngine {
     QualityEngine::with_proteomics_defaults().expect("stock engine")
 }
 
-/// Seeds the engine's `cache` repository with evidence for `dataset`
-/// without going through an annotator (enrichment-only benches).
-pub fn seed_cache(engine: &QualityEngine, dataset: &DataSet) {
-    let cache = engine.catalog().get_or_create_cache("cache");
-    for item in dataset.items() {
-        for (field, evidence) in [
-            ("hitRatio", q::iri("HitRatio")),
-            ("massCoverage", q::iri("MassCoverage")),
-            ("peptidesCount", q::iri("PeptidesCount")),
-        ] {
-            let value = dataset.field(item, field);
-            if !value.is_null() {
-                cache.annotate(item, &evidence, value).expect("evidence type");
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,17 +134,6 @@ mod tests {
             let spec = scaled_view(qas, acts);
             engine.validate(&spec).unwrap_or_else(|e| panic!("{qas}/{acts}: {e}"));
         }
-    }
-
-    #[test]
-    fn seed_cache_enables_annotatorless_views() {
-        let engine = bench_engine();
-        let ds = synthetic_hits(20);
-        seed_cache(&engine, &ds);
-        let mut spec = bench_view();
-        spec.annotators.clear();
-        let outcome = engine.execute_view(&spec, &ds).unwrap();
-        assert!(!outcome.groups[0].dataset.is_empty());
     }
 }
 

@@ -21,10 +21,10 @@
 //! qv explain  <view.xml> --data <hits.tsv>       decision provenance for one item:
 //!             --item <id-or-suffix>              evidence fetched, tags assigned,
 //!             [--spans]                          actions taken (`why(item)`)
-//! qv profile  <view.xml> --data <hits.tsv>       per-plan-node self-time profile;
-//!             [--runs N] [--folded out.txt]      folded stacks for flamegraph
-//!             [--analyze]                        tools; --analyze appends the
-//!                                                observed-statistics tree
+//! qv profile  <view.xml> --data <hits.tsv>       EXPLAIN ANALYZE summed over N
+//!             [--runs N] [--folded out.txt]      runs, plus their wall time;
+//!                                                folded stacks for flamegraph
+//!                                                tools
 //! qv load     <triples.ttl> --store <dir>        stream a Turtle file into an
 //!             [--repo NAME]                      on-disk annotation store without
 //!                                                materializing the graph in RAM
@@ -106,7 +106,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  qv validate <view.xml>\n  qv check <view.xml|query.rq> [--format text|json] [--deny warnings] [--fix [--dry-run]]\n  qv compile <view.xml> [--dot]\n  qv plan <view.xml> [--no-opt] [--format text|json]\n  qv plan-check <plan.json>\n  qv fmt <view.xml>\n  qv run <view.xml> --data <hits.tsv> [--group NAME] [--explain] [--analyze [--format text|json]] [--store DIR] [--stats-out FILE] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]\n  qv load <triples.ttl> --store <dir> [--repo NAME]\n  qv explain <view.xml> --data <hits.tsv> --item <id-or-suffix> [--spans]\n  qv profile <view.xml> --data <hits.tsv> [--runs N] [--folded out.txt] [--analyze]\n  qv serve <view.xml>... --addr HOST:PORT [--store DIR] [--workers N] [--queue N] [--keep-alive-max N] [--read-timeout-ms N] [--trace-capacity N] [--sample-rate F] [--drift-window N] [--drift-threshold F] [--access-log FILE] [--slo-p99-ms N] [--slo-availability F]\n  qv telemetry-check <trace.jsonl> [metrics.txt] [--access-log access.jsonl] [--analyze analyze.json] [--stats-profile profile.json]\n  qv bench-check <BENCH_*.json|dir|--all>\n  qv library <catalog.xml> [--search TEXT]"
+    "usage:\n  qv validate <view.xml>\n  qv check <view.xml|query.rq> [--format text|json] [--deny warnings] [--fix [--dry-run]]\n  qv compile <view.xml> [--dot]\n  qv plan <view.xml> [--no-opt] [--format text|json]\n  qv plan-check <plan.json>\n  qv fmt <view.xml>\n  qv run <view.xml> --data <hits.tsv> [--group NAME] [--explain] [--analyze [--format text|json]] [--store DIR] [--stats-out FILE] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]\n  qv load <triples.ttl> --store <dir> [--repo NAME]\n  qv explain <view.xml> --data <hits.tsv> --item <id-or-suffix> [--spans]\n  qv profile <view.xml> --data <hits.tsv> [--runs N] [--folded out.txt]\n  qv serve <view.xml>... --addr HOST:PORT [--store DIR] [--workers N] [--queue N] [--keep-alive-max N] [--read-timeout-ms N] [--trace-capacity N] [--sample-rate F] [--drift-window N] [--drift-threshold F] [--access-log FILE] [--slo-p99-ms N] [--slo-availability F]\n  qv telemetry-check <trace.jsonl> [metrics.txt] [--access-log access.jsonl] [--analyze analyze.json] [--stats-profile profile.json]\n  qv bench-check <BENCH_*.json|dir|--all>\n  qv library <catalog.xml> [--search TEXT]"
         .to_string()
 }
 
@@ -429,17 +429,18 @@ fn write_telemetry(args: &[String], engine: &QualityEngine) -> Result<(), String
     }
     if let Some(path) = flag_value(args, "--profile-out") {
         let trace = engine.last_trace().ok_or("no span trace was recorded")?;
-        let profile = qurator_telemetry::Profile::from_traces([&trace]);
-        std::fs::write(path, profile.to_folded())
+        std::fs::write(path, qurator_telemetry::Profile::from_traces([&trace]).to_folded())
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        println!("profile: {} node(s) -> {path}", profile.nodes().len());
+        println!("profile: folded stacks -> {path}");
     }
     Ok(())
 }
 
-/// `qv profile`: enact the view over the data set (optionally several
-/// times) and fold the span traces into a per-plan-node self-time
-/// profile; `--folded` exports flamegraph-compatible folded stacks.
+/// `qv profile`: enact the view N times and render the merged
+/// [`qurator_telemetry::RunStats`] of all runs as the EXPLAIN ANALYZE
+/// tree, plus the runs' wall time (which also covers work outside plan
+/// nodes); `--folded` exports the runs' span traces as
+/// flamegraph-compatible folded stacks.
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let view_path = args.get(1).filter(|a| !a.starts_with("--")).ok_or_else(usage)?;
     let data_path = flag_value(args, "--data").ok_or_else(usage)?;
@@ -454,27 +455,33 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let spec = load_view(view_path)?;
     let dataset = tsv::read_dataset(&read_file(data_path)?)?;
     let engine = stock_engine()?;
-    // one invocation = one run id, stamped on every iteration's trace
+    // one invocation = one run id, stamped on every iteration
     let run = qurator_telemetry::RunId::mint();
-    let mut profile = qurator_telemetry::Profile::new();
+    let mut folded = qurator_telemetry::Profile::new();
+    let mut merged = qurator_telemetry::RunStats { run_id: Some(run), ..Default::default() };
+    let mut wall = std::time::Duration::ZERO;
     for _ in 0..runs {
+        let started = std::time::Instant::now();
         engine.execute_view_run(&spec, &dataset, run).map_err(|e| e.to_string())?;
-        let trace = engine.last_trace().ok_or("no span trace was recorded")?;
-        profile.add_trace(&trace);
-    }
-    println!("run id: {run}");
-    println!("{}", profile.render_table());
-    if args.contains(&"--analyze".into()) {
-        // the decayed profile now holds all N iterations, so the plan's
-        // `planned ~N rows` column reflects what this session observed
-        let plan = engine
-            .plan_with_stats(&spec, &qurator_plan::PlanConfig::default())
-            .map_err(|e| e.to_string())?;
+        wall += started.elapsed();
         let stats = engine.last_run_stats().ok_or("no run statistics were recorded")?;
-        print!("\n{}", qurator_plan::render::render_analyze_text(&plan, &stats, true));
+        merged.merge(&stats);
+        folded.add_trace(&engine.last_trace().ok_or("no span trace was recorded")?);
     }
+    // the decayed profile now holds all N runs, so the plan's
+    // `planned ~N rows` column reflects what this session observed
+    let plan = engine
+        .plan_with_stats(&spec, &qurator_plan::PlanConfig::default())
+        .map_err(|e| e.to_string())?;
+    print!("{}", qurator_plan::render::render_analyze_text(&plan, &merged, true));
+    let wall_ns = wall.as_nanos() as u64;
+    println!(
+        "wall time: {runs} run(s) in {:.1} us ({:.1} us outside plan nodes)",
+        wall_ns as f64 / 1000.0,
+        wall_ns.saturating_sub(merged.total_wall_ns()) as f64 / 1000.0
+    );
     if let Some(path) = flag_value(args, "--folded") {
-        std::fs::write(path, profile.to_folded())
+        std::fs::write(path, folded.to_folded())
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
         println!("folded stacks -> {path}");
     }

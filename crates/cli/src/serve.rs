@@ -29,7 +29,8 @@
 //! echoes it in the `X-QV-Run-Id` response header (and the JSON body).
 //! The same id is stamped on the root span of the execution trace, the
 //! retained-trace metadata, every decision-ledger record the run wrote,
-//! and any drift threshold-crossing the run tripped — so
+//! any drift threshold-crossing the run tripped, and the run's observed
+//! plan-node stats in the engine's bounded stats ring — so
 //! `GET /runs/<id>` can reassemble the whole story of one request after
 //! the fact, and an access-log line is enough to start the chase.
 //!
@@ -81,7 +82,7 @@ use qurator::prelude::*;
 use qurator::spec::ActionKind;
 use qurator_telemetry::json::escape;
 use qurator_telemetry::{
-    AccessLog, AccessRecord, Profile, RunId, SloConfig, SloTracker, TelemetryConfig, TraceRetainer,
+    AccessLog, AccessRecord, RunId, SloConfig, SloTracker, TelemetryConfig, TraceRetainer,
 };
 
 use crate::tsv;
@@ -376,10 +377,10 @@ fn route_inner(
 
 /// `GET /runs/<id>`: the correlation bundle for one run — the retained
 /// span trace (when the sampler kept it), the decision-ledger slice the
-/// run wrote, any ledger events (drift crossings) it tripped, the
-/// per-node self-time profile of the trace, and the run's observed
-/// plan-node statistics (`"stats"`, the EXPLAIN ANALYZE counters). 404
-/// only when *nothing* references the id.
+/// run wrote, any ledger events (drift crossings) it tripped, and the
+/// run's observed plan-node statistics (`"stats"`, the EXPLAIN ANALYZE
+/// counters — the bundle's one per-node section). 404 only when
+/// *nothing* references the id.
 fn run_bundle(state: &ServeState, id: &str) -> Response {
     let Some(run) = RunId::parse(id) else {
         return Response::error(400, &format!("run id {id:?} is not 16 hex chars"));
@@ -387,10 +388,11 @@ fn run_bundle(state: &ServeState, id: &str) -> Response {
     let retained = state.retainer.find_run(run);
     let traces = state.engine.ledger().for_run(run);
     let events = state.engine.ledger().events_for_run(run);
-    if retained.is_none() && traces.is_empty() && events.is_empty() {
+    let stats = state.engine.run_stats(run);
+    if retained.is_none() && traces.is_empty() && events.is_empty() && stats.is_none() {
         return Response::error(
             404,
-            &format!("run {run} is not referenced by any retained trace or ledger record"),
+            &format!("run {run} is not referenced by any retained trace, ledger record or stats"),
         );
     }
     let trace_json = match &retained {
@@ -407,26 +409,7 @@ fn run_bundle(state: &ServeState, id: &str) -> Response {
             )
         }
     };
-    let profile_json = match &retained {
-        None => "null".to_string(),
-        Some(kept) => {
-            let profile = Profile::from_traces([&kept.trace]);
-            let nodes: Vec<String> = profile
-                .nodes()
-                .iter()
-                .map(|(name, stat)| {
-                    format!(
-                        "{{\"node\":\"{}\",\"calls\":{},\"self_ns\":{}}}",
-                        escape(name),
-                        stat.calls,
-                        stat.self_ns
-                    )
-                })
-                .collect();
-            format!("[{}]", nodes.join(","))
-        }
-    };
-    let stats_json = match state.engine.run_stats(run) {
+    let stats_json = match stats {
         Some(stats) => stats.to_json(),
         None => "null".to_string(),
     };
@@ -446,7 +429,7 @@ fn run_bundle(state: &ServeState, id: &str) -> Response {
     Response::json(
         200,
         format!(
-            "{{\"run_id\":\"{run}\",\"trace\":{trace_json},\"ledger\":[{}],\"events\":[{}],\"profile\":{profile_json},\"stats\":{stats_json}}}",
+            "{{\"run_id\":\"{run}\",\"trace\":{trace_json},\"ledger\":[{}],\"events\":[{}],\"stats\":{stats_json}}}",
             ledger_json.join(","),
             events_json.join(",")
         ),
@@ -1268,6 +1251,32 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert_eq!(stats.get("items").and_then(|v| v.as_u64()), Some(2));
         let nodes = stats.get("nodes").and_then(|v| v.as_object()).unwrap();
         assert!(!nodes.is_empty(), "{}", bundle.body);
+        // `stats` is the bundle's one per-node section
+        assert!(value.get("profile").is_none(), "{}", bundle.body);
+    }
+
+    /// Regression: a run whose trace the sampler dropped and whose
+    /// ledger records a later run of the same ids replaced is still
+    /// referenced by its stats, so `/runs/<id>` answers 200.
+    #[test]
+    fn runs_resolve_through_held_stats_alone() {
+        let engine = QualityEngine::with_proteomics_defaults().unwrap();
+        let spec =
+            qurator::xmlio::parse_quality_view(include_str!("../../../samples/splitter_view.xml"))
+                .unwrap();
+        let config = TelemetryConfig { sample_rate: 0.0, ..TelemetryConfig::default() };
+        let state = ServeState::new(engine, vec![spec], &config, ServeOptions::default()).unwrap();
+        let path = "/run/pmf-confidence-split";
+        let first = route(&state, "POST", path, DATA).run_id.expect("first run id");
+        assert_eq!(route(&state, "POST", path, DATA).status, 200);
+
+        let bundle = route(&state, "GET", &format!("/runs/{first}"), "");
+        assert_eq!(bundle.status, 200, "{}", bundle.body);
+        let value = json::parse(&bundle.body).unwrap();
+        assert!(matches!(value.get("trace"), Some(json::Value::Null)), "{}", bundle.body);
+        assert_eq!(value.get("ledger").and_then(|v| v.as_array()).map(|l| l.len()), Some(0));
+        let stats = value.get("stats").expect("stats section");
+        assert_eq!(stats.get("run_id").and_then(|v| v.as_str()), Some(first.to_string().as_str()));
     }
 
     /// Satellite regression: a scanner probing arbitrary paths must not
@@ -1331,11 +1340,10 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert!(ledger.iter().all(|t| {
             t.get("run_id").and_then(|v| v.as_str()) == Some(minted.to_string().as_str())
         }));
-        // the run rejected an item, so its trace was retained and profiled
+        // the run rejected an item, so its trace was retained
         let trace = value.get("trace").unwrap();
         let spans = trace.get("spans").and_then(|v| v.as_array()).unwrap();
         assert!(!spans.is_empty());
-        assert!(!value.get("profile").and_then(|v| v.as_array()).unwrap().is_empty());
 
         // malformed and unknown ids are told apart
         assert_eq!(route(&state, "GET", "/runs/not-hex", "").status, 400);

@@ -125,7 +125,7 @@ fn library_lists_and_searches() {
 }
 
 #[test]
-fn profile_prints_a_table_and_round_trips_folded_stacks() {
+fn profile_prints_the_merged_node_tree_and_round_trips_folded_stacks() {
     let view = write_temp("prof.xml", VIEW);
     let data = write_temp("prof.tsv", DATA);
     let folded = write_temp("prof.folded", "");
@@ -140,8 +140,14 @@ fn profile_prints_a_table_and_round_trips_folded_stacks() {
         folded.to_str().unwrap(),
     ]);
     assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("3 trace(s) profiled"), "{stdout}");
-    assert!(stdout.contains("view:cli-test"), "{stdout}");
+    assert!(stdout.contains("analyze for view \"cli-test\""), "{stdout}");
+    // one tree for all three runs: every node counts three calls and the
+    // rows of all three runs (two items each)
+    assert!(stdout.contains("items: 6"), "{stdout}");
+    let nodes: Vec<&str> = stdout.lines().filter(|l| l.contains(": calls ")).collect();
+    assert!(nodes.len() >= 3, "{stdout}");
+    assert!(nodes.iter().all(|l| l.contains(": calls 3 | rows 6 -> ")), "{stdout}");
+    assert!(stdout.contains("wall time: 3 run(s) in "), "{stdout}");
     // the folded export parses back and every stack roots at the view span
     let parsed =
         qurator_telemetry::Profile::parse_folded(&std::fs::read_to_string(&folded).unwrap())

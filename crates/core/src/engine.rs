@@ -243,10 +243,8 @@ impl QualityEngine {
                 self.catalog
                     .store_root()
                     .and_then(|root| {
-                        StatsProfile::load(
-                            &root.join("stats").join(profile_file_name(&stats.view)),
-                        )
-                        .ok()
+                        StatsProfile::load(&root.join("stats").join(profile_file_name(&stats.view)))
+                            .ok()
                     })
                     .filter(|persisted| persisted.key == key)
                     .unwrap_or_else(|| StatsProfile::new(stats.view.clone(), key))

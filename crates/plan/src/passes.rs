@@ -7,6 +7,8 @@
 //! | `enrich-fusion`        | one repository access per repository, not per    |
 //! |                        | evidence type (deduplicated, order-preserving)   |
 //! | `cache-routing`        | mark accesses served by in-view annotations      |
+//! |                        | (read only by EXPLAIN: the executor still reads  |
+//! |                        | the store; acting on it is a ROADMAP.md item)    |
 //! | `action-short-circuit` | constant-fold variable-free action conditions    |
 //! | `wave-schedule`        | antichain schedule for the parallel enactor      |
 //!
@@ -266,10 +268,7 @@ fn stats_profile(plan: &mut PhysicalPlan, profile: &StatsProfile) -> PassOutcome
     for name in names {
         let Some(node) = profile.node(&name) else { continue };
         let rows = node.rows_out.round() as u64;
-        notes.push(format!(
-            "{name}: ~{rows} rows out, ~{} evidence",
-            node.evidence.round() as u64
-        ));
+        notes.push(format!("{name}: ~{rows} rows out, ~{} evidence", node.evidence.round() as u64));
         plan.observed_rows.push((name, rows));
     }
     PassOutcome { changed: !plan.observed_rows.is_empty(), notes }

@@ -28,8 +28,9 @@ pub struct EnrichGroup {
     pub evidence: Vec<Iri>,
     /// Set by the cache-routing pass when an in-plan annotator writes
     /// this repository: the read is served by annotations produced
-    /// moments earlier in the same execution, so the access never needs
-    /// to consult a persistent store.
+    /// moments earlier in the same execution. Only EXPLAIN (the
+    /// renderers and the plan schema) reads the flag; the executor still
+    /// fetches these groups through the repository.
     pub cache_local: bool,
 }
 

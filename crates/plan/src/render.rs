@@ -416,7 +416,8 @@ mod tests {
 
     fn sample_stats() -> RunStats {
         use qurator_telemetry::stats::NodeStats;
-        let mut stats = RunStats { view: "sample".into(), run_id: None, items: 4, ..Default::default() };
+        let mut stats =
+            RunStats { view: "sample".into(), run_id: None, items: 4, ..Default::default() };
         let node = |rows_out, evidence, hits, wall_ns| NodeStats {
             calls: 1,
             rows_in: 4,
@@ -459,10 +460,9 @@ mod tests {
         let value = qurator_telemetry::json::parse(&json).unwrap();
         let nodes = value.get("nodes").and_then(|v| v.as_array()).unwrap();
         // no profile on this plan: planned_rows is null everywhere
-        assert!(nodes.iter().all(|n| matches!(
-            n.get("planned_rows"),
-            Some(qurator_telemetry::json::Value::Null)
-        )));
+        assert!(nodes
+            .iter()
+            .all(|n| matches!(n.get("planned_rows"), Some(qurator_telemetry::json::Value::Null))));
     }
 
     #[test]

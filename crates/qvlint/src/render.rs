@@ -2,6 +2,7 @@
 //! and a machine-readable JSON form for editor/CI integration.
 
 use crate::{codes, summary, Diagnostic};
+use qurator_telemetry::json::escape;
 use std::fmt::Write as _;
 
 /// Renders diagnostics in the familiar compiler style:
@@ -76,7 +77,7 @@ fn render_snippet(out: &mut String, lines: &[&str], line: u32, col: u32) {
 
 /// Renders diagnostics as a JSON array (machine-readable; the schema is
 /// documented in DESIGN.md §7). No external JSON library: the value space
-/// is flat and escaping is the only subtlety.
+/// is flat, and strings go through the telemetry crate's escaper.
 pub fn render_json(diags: &[Diagnostic], source_name: &str) -> String {
     let mut out = String::from("[");
     for (i, d) in diags.iter().enumerate() {
@@ -86,15 +87,15 @@ pub fn render_json(diags: &[Diagnostic], source_name: &str) -> String {
         out.push_str("\n  {");
         let _ = write!(
             out,
-            "\"code\":{},\"severity\":{},\"message\":{}",
-            json_str(d.code),
-            json_str(&d.severity.to_string()),
-            json_str(&d.message)
+            "\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
+            escape(d.code),
+            escape(&d.severity.to_string()),
+            escape(&d.message)
         );
         if let Some(desc) = codes::describe(d.code) {
-            let _ = write!(out, ",\"description\":{}", json_str(desc));
+            let _ = write!(out, ",\"description\":\"{}\"", escape(desc));
         }
-        let _ = write!(out, ",\"file\":{}", json_str(source_name));
+        let _ = write!(out, ",\"file\":\"{}\"", escape(source_name));
         if let Some(span) = d.span {
             let _ = write!(out, ",\"line\":{},\"col\":{}", span.line, span.col);
         }
@@ -105,7 +106,7 @@ pub fn render_json(diags: &[Diagnostic], source_name: &str) -> String {
                     out.push(',');
                 }
                 out.push('{');
-                let _ = write!(out, "\"message\":{}", json_str(&label.message));
+                let _ = write!(out, "\"message\":\"{}\"", escape(&label.message));
                 if let Some(s) = label.span {
                     let _ = write!(out, ",\"line\":{},\"col\":{}", s.line, s.col);
                 }
@@ -114,16 +115,16 @@ pub fn render_json(diags: &[Diagnostic], source_name: &str) -> String {
             out.push(']');
         }
         if let Some(help) = &d.help {
-            let _ = write!(out, ",\"help\":{}", json_str(help));
+            let _ = write!(out, ",\"help\":\"{}\"", escape(help));
         }
         if let Some(s) = &d.suggestion {
             let _ = write!(
                 out,
-                ",\"suggestion\":{{\"message\":{},\"replacement\":{},\"applicability\":{},\
+                ",\"suggestion\":{{\"message\":\"{}\",\"replacement\":\"{}\",\"applicability\":\"{}\",\
                  \"line\":{},\"col\":{},\"offset\":{},\"len\":{}}}",
-                json_str(&s.message),
-                json_str(&s.replacement),
-                json_str(&s.applicability.to_string()),
+                escape(&s.message),
+                escape(&s.replacement),
+                escape(&s.applicability.to_string()),
                 s.span.line,
                 s.span.col,
                 s.span.offset,
@@ -133,26 +134,6 @@ pub fn render_json(diags: &[Diagnostic], source_name: &str) -> String {
         out.push('}');
     }
     out.push_str("\n]\n");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

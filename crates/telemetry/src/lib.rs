@@ -29,8 +29,8 @@
 //! * [`drift`] — sliding-window QA-classification distributions compared
 //!   (L1 / χ²) against a reference window, with threshold-crossing
 //!   events republished into the ledger;
-//! * [`profile`] — per-plan-node self-time aggregation over retained
-//!   traces and a folded-stack (flamegraph) exporter;
+//! * [`profile`] — a folded-stack (flamegraph) exporter over span
+//!   traces;
 //! * [`runid`] — the correlation spine: a [`runid::RunId`] minted per
 //!   request/invocation and stamped onto spans, retained traces, ledger
 //!   records and drift-crossing events;

@@ -1,40 +1,26 @@
-//! Per-plan-node profiling over span traces: self-time/child-time
-//! aggregation and a folded-stack (flamegraph-compatible) exporter.
+//! Folded-stack (flamegraph-compatible) export of span traces.
 //!
-//! A [`Profile`] folds one or more [`SpanTrace`]s into two views:
-//!
-//! * **stacks** — every root-to-span name path (frames joined with `;`)
-//!   with the *self* time accumulated at that exact path, exported via
-//!   [`Profile::to_folded`] in the `frame;frame;frame value` format
-//!   flamegraph tooling consumes (value = self time in microseconds);
-//! * **nodes** — per span name, calls / total / self time, for the
-//!   `qv profile` table.
+//! A [`Profile`] folds one or more [`SpanTrace`]s into **stacks**: every
+//! root-to-span name path (frames joined with `;`) with the *self* time
+//! accumulated at that exact path, exported via [`Profile::to_folded`]
+//! in the `frame;frame;frame value` format flamegraph tooling consumes
+//! (value = self time in microseconds).
 //!
 //! Self time is the span's wallclock minus the sum of its direct
 //! children's wallclocks (saturating: overlapping parallel children can
 //! legitimately sum past the parent).
+//!
+//! Per-node figures come from [`crate::stats::NodeStats`], the one
+//! per-node record; spans feed only this export and the trace exports.
 
 use std::collections::BTreeMap;
 
 use crate::span::{SpanId, SpanTrace};
 
-/// Aggregated statistics for one span name across traces.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStat {
-    /// Number of spans with this name.
-    pub calls: u64,
-    /// Summed wallclock, nanoseconds.
-    pub total_ns: u64,
-    /// Summed self time (wallclock minus direct children), nanoseconds.
-    pub self_ns: u64,
-}
-
-/// A self-time profile folded from span traces.
+/// Folded stacks accumulated from span traces.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     stacks: BTreeMap<String, u64>,
-    nodes: BTreeMap<String, NodeStat>,
-    traces: u64,
 }
 
 /// Frames may not contain the folded format's separators — `;` splits
@@ -51,7 +37,6 @@ impl Profile {
 
     /// Folds one trace into the profile.
     pub fn add_trace(&mut self, trace: &SpanTrace) {
-        self.traces += 1;
         // direct-children duration sums in one pass
         let mut child_ns: BTreeMap<SpanId, u64> = BTreeMap::new();
         for span in trace.spans() {
@@ -62,10 +47,6 @@ impl Profile {
         for span in trace.spans() {
             let total = span.duration_ns().unwrap_or(0);
             let self_ns = total.saturating_sub(child_ns.get(&span.id).copied().unwrap_or(0));
-            let stat = self.nodes.entry(span.name.clone()).or_default();
-            stat.calls += 1;
-            stat.total_ns += total;
-            stat.self_ns += self_ns;
             // root-to-span frame path
             let mut path = vec![frame(&span.name)];
             let mut cursor = span.parent;
@@ -86,21 +67,6 @@ impl Profile {
             profile.add_trace(trace);
         }
         profile
-    }
-
-    /// Number of traces folded in.
-    pub fn traces(&self) -> u64 {
-        self.traces
-    }
-
-    /// Per-name statistics, sorted by name.
-    pub fn nodes(&self) -> &BTreeMap<String, NodeStat> {
-        &self.nodes
-    }
-
-    /// True when nothing was folded.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Folded-stack export: one `frame;frame;... value` line per distinct
@@ -141,31 +107,6 @@ impl Profile {
         }
         Ok(out)
     }
-
-    /// Human-readable per-node table, widest self-time first.
-    pub fn render_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut rows: Vec<(&String, &NodeStat)> = self.nodes.iter().collect();
-        rows.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then_with(|| a.0.cmp(b.0)));
-        let name_width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(4).max(4);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<name_width$}  {:>8}  {:>12}  {:>12}",
-            "node", "calls", "total_ms", "self_ms"
-        );
-        for (name, stat) in rows {
-            let _ = writeln!(
-                out,
-                "{name:<name_width$}  {:>8}  {:>12.3}  {:>12.3}",
-                stat.calls,
-                stat.total_ns as f64 / 1e6,
-                stat.self_ns as f64 / 1e6,
-            );
-        }
-        let _ = write!(out, "{} trace(s) profiled", self.traces);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -196,16 +137,15 @@ mod tests {
 
     #[test]
     fn self_time_subtracts_direct_children() {
-        let profile = Profile::from_traces([&sample_trace()]);
-        let nodes = profile.nodes();
-        // view: 10ms total, children 2ms + 6ms -> 2ms self
-        assert_eq!(nodes["view:v"].self_ns, 2_000_000);
-        assert_eq!(nodes["view:v"].total_ns, 10_000_000);
+        let stacks =
+            Profile::parse_folded(&Profile::from_traces([&sample_trace()]).to_folded()).unwrap();
+        // view: 10ms total, children 2ms + 6ms -> 2ms self (values in µs)
+        assert_eq!(stacks["view:v"], 2_000);
         // assert node: 6ms total, child 1ms -> 5ms self
-        assert_eq!(nodes["node:assert"].self_ns, 5_000_000);
+        assert_eq!(stacks["view:v;node:assert"], 5_000);
         // leaves keep their full duration
-        assert_eq!(nodes["node:annotate"].self_ns, 2_000_000);
-        assert_eq!(nodes["invoke"].self_ns, 1_000_000);
+        assert_eq!(stacks["view:v;node:annotate"], 2_000);
+        assert_eq!(stacks["view:v;node:assert;invoke"], 1_000);
     }
 
     #[test]
@@ -241,13 +181,5 @@ mod tests {
         assert!(Profile::parse_folded("a;b notanumber").is_err());
         assert!(Profile::parse_folded("a;;b 3").is_err());
         assert!(Profile::parse_folded("a;b 1\na;b 2").unwrap_err().contains("duplicate"));
-    }
-
-    #[test]
-    fn table_renders_per_node_rows() {
-        let profile = Profile::from_traces([&sample_trace()]);
-        let table = profile.render_table();
-        assert!(table.contains("node:assert"));
-        assert!(table.contains("1 trace(s) profiled"));
     }
 }

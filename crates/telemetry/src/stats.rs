@@ -22,7 +22,8 @@
 //! record into the collector inside their shared methods. Recording is a
 //! handful of integer adds under a short mutex hold (node counts are
 //! small: one touch per node per run, not per item), cheap enough to
-//! leave on permanently (`BENCH_analyze_overhead.json` pins it ≤5%).
+//! leave on permanently (the `+ stats` step of
+//! `BENCH_telemetry_ladder.json` prices it).
 
 use crate::json::{escape, parse, Value};
 use crate::runid::RunId;
@@ -86,8 +87,11 @@ impl RunStats {
         self.nodes.get(name)
     }
 
-    /// Merges another run's counters into this one (worker merge).
+    /// Merges another run's counters into this one: node counters and
+    /// the input cardinality add, so `qv profile --runs N` reports the
+    /// sum of its N runs.
     pub fn merge(&mut self, other: &RunStats) {
+        self.items += other.items;
         for (name, stats) in &other.nodes {
             self.nodes.entry(name.clone()).or_default().merge(stats);
         }
@@ -130,22 +134,18 @@ impl RunStats {
         if value.get("type").and_then(|v| v.as_str()) != Some("run_stats") {
             return Err("type is not \"run_stats\"".into());
         }
-        let view = obj
-            .get("view")
-            .and_then(|v| v.as_str())
-            .ok_or("view must be a string")?
-            .to_string();
+        let view =
+            obj.get("view").and_then(|v| v.as_str()).ok_or("view must be a string")?.to_string();
         let run_id = match obj.get("run_id") {
             None | Some(Value::Null) => None,
             Some(v) => Some(
-                v.as_str()
-                    .and_then(RunId::parse)
-                    .ok_or("run_id must be null or 16 hex chars")?,
+                v.as_str().and_then(RunId::parse).ok_or("run_id must be null or 16 hex chars")?,
             ),
         };
         let items = obj.get("items").and_then(|v| v.as_u64()).ok_or("items must be an integer")?;
         let mut nodes = BTreeMap::new();
-        let node_obj = obj.get("nodes").and_then(|v| v.as_object()).ok_or("nodes must be an object")?;
+        let node_obj =
+            obj.get("nodes").and_then(|v| v.as_object()).ok_or("nodes must be an object")?;
         for (name, v) in node_obj {
             nodes.insert(name.clone(), parse_node_counters(v)?);
         }
@@ -291,7 +291,13 @@ pub struct StatsProfile {
 impl StatsProfile {
     /// An empty profile for a view shape.
     pub fn new(view: impl Into<String>, key: u64) -> Self {
-        StatsProfile { view: view.into(), key, runs: 0, alpha: DEFAULT_DECAY, nodes: BTreeMap::new() }
+        StatsProfile {
+            view: view.into(),
+            key,
+            runs: 0,
+            alpha: DEFAULT_DECAY,
+            nodes: BTreeMap::new(),
+        }
     }
 
     /// Folds one run into the decayed averages.
@@ -345,11 +351,8 @@ impl StatsProfile {
         if value.get("type").and_then(|v| v.as_str()) != Some("stats_profile") {
             return Err("type is not \"stats_profile\"".into());
         }
-        let view = obj
-            .get("view")
-            .and_then(|v| v.as_str())
-            .ok_or("view must be a string")?
-            .to_string();
+        let view =
+            obj.get("view").and_then(|v| v.as_str()).ok_or("view must be a string")?.to_string();
         let key = obj
             .get("key")
             .and_then(|v| v.as_str())
@@ -361,7 +364,8 @@ impl StatsProfile {
             return Err(format!("alpha {alpha} outside [0, 1]"));
         }
         let mut nodes = BTreeMap::new();
-        let node_obj = obj.get("nodes").and_then(|v| v.as_object()).ok_or("nodes must be an object")?;
+        let node_obj =
+            obj.get("nodes").and_then(|v| v.as_object()).ok_or("nodes must be an object")?;
         for (name, v) in node_obj {
             let n = v.as_object().ok_or("node profile must be an object")?;
             let num = |key: &str| -> Result<f64, String> {
@@ -426,7 +430,14 @@ mod tests {
     use super::*;
 
     fn sample(rows: u64) -> NodeStats {
-        NodeStats { calls: 1, rows_in: rows, rows_out: rows, evidence: rows * 3, hits: rows, wall_ns: 1000 }
+        NodeStats {
+            calls: 1,
+            rows_in: rows,
+            rows_out: rows,
+            evidence: rows * 3,
+            hits: rows,
+            wall_ns: 1000,
+        }
     }
 
     #[test]
@@ -461,9 +472,17 @@ mod tests {
 
     #[test]
     fn run_stats_round_trip_json() {
-        let mut run = RunStats { view: "fig1".into(), run_id: RunId::parse("00000000deadbeef"), items: 5, nodes: BTreeMap::new() };
+        let mut run = RunStats {
+            view: "fig1".into(),
+            run_id: RunId::parse("00000000deadbeef"),
+            items: 5,
+            nodes: BTreeMap::new(),
+        };
         run.nodes.insert("Enrich".into(), sample(5));
-        run.nodes.insert("keep".into(), NodeStats { calls: 1, rows_in: 5, rows_out: 3, evidence: 0, hits: 3, wall_ns: 42 });
+        run.nodes.insert(
+            "keep".into(),
+            NodeStats { calls: 1, rows_in: 5, rows_out: 3, evidence: 0, hits: 3, wall_ns: 42 },
+        );
         let parsed = RunStats::parse(&run.to_json()).unwrap();
         assert_eq!(parsed, run);
 
