@@ -3,9 +3,12 @@
 //!
 //! QV specifications reference repositories by name
 //! (`repositoryRef="cache"`); the catalog resolves those names at
-//! compile/execution time and clears all cache (non-persistent)
-//! repositories between process executions (paper §4: "the scope of
-//! annotations is a single process execution" for on-the-fly evidence).
+//! compile/execution time. It holds the persistent repositories and any
+//! volatile one a caller registers itself, which stays the caller's. A
+//! cache a view names without registering it is not a catalog entry: each
+//! run's bind owns a fresh one and drops it when the run returns (paper
+//! §4: "the scope of annotations is a single process execution" for
+//! on-the-fly evidence).
 
 use crate::repository::AnnotationRepository;
 use crate::{AnnotationError, Result};
@@ -14,6 +17,26 @@ use qurator_ontology::iq::IqModel;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// The directory under a store root that holds the engine's per-view
+/// stats profiles. The reopen scan skips it, so no repository stored under
+/// a root may take this name.
+pub const STATS_DIR: &str = "stats";
+
+/// Checks that `name` can name a repository. A name must be one plain
+/// path segment (not empty, `.` or `..`, and without `/` or `\`), so that
+/// `<root>/<name>/` stays inside a store root. `on_disk` marks a
+/// repository stored under a root, which may not be named [`STATS_DIR`].
+pub fn check_repository_name(name: &str, on_disk: bool) -> Result<()> {
+    let reason = if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
+        "a repository name must be one path segment"
+    } else if on_disk && name == STATS_DIR {
+        "the store root keeps its stats profiles under that name"
+    } else {
+        return Ok(());
+    };
+    Err(AnnotationError::InvalidRepositoryName { name: name.to_string(), reason })
+}
 
 /// A named collection of annotation repositories.
 pub struct RepositoryCatalog {
@@ -68,7 +91,7 @@ impl RepositoryCatalog {
             };
             // `<root>/stats/` holds the engine's per-view stats profiles,
             // not a repository store
-            if name == "stats" {
+            if name == STATS_DIR {
                 continue;
             }
             names.push(name);
@@ -103,14 +126,16 @@ impl RepositoryCatalog {
         self.store_root.read().clone()
     }
 
-    /// Creates a repository; errors if the name is taken. With a store root
-    /// configured, persistent repositories open disk-backed under it.
+    /// Creates a repository; errors if the name is taken or fails
+    /// [`check_repository_name`]. With a store root configured,
+    /// persistent repositories open disk-backed under it.
     pub fn create(&self, name: &str, persistent: bool) -> Result<Arc<AnnotationRepository>> {
         let mut repos = self.repositories.write();
         if repos.contains_key(name) {
             return Err(AnnotationError::DuplicateRepository(name.to_string()));
         }
         let root = if persistent { self.store_root.read().clone() } else { None };
+        check_repository_name(name, root.is_some())?;
         let repo = Arc::new(match root {
             Some(root) => {
                 AnnotationRepository::open_disk(name, true, self.iq.clone(), root.join(name))?
@@ -131,15 +156,6 @@ impl RepositoryCatalog {
         Ok(())
     }
 
-    /// Gets a repository, creating a cache repository on first reference
-    /// (QV specs may name fresh caches without prior setup).
-    pub fn get_or_create_cache(&self, name: &str) -> Arc<AnnotationRepository> {
-        if let Some(repo) = self.get(name) {
-            return repo;
-        }
-        self.create(name, false).expect("checked absence under race-free write lock")
-    }
-
     /// Looks a repository up by name.
     pub fn get(&self, name: &str) -> Option<Arc<AnnotationRepository>> {
         self.repositories.read().get(name).cloned()
@@ -148,20 +164,6 @@ impl RepositoryCatalog {
     /// Looks a repository up, erroring with the QV-validation message.
     pub fn require(&self, name: &str) -> Result<Arc<AnnotationRepository>> {
         self.get(name).ok_or_else(|| AnnotationError::UnknownRepository(name.to_string()))
-    }
-
-    /// Clears every non-persistent repository; returns how many were
-    /// cleared. Called between quality-process executions.
-    pub fn clear_caches(&self) -> usize {
-        let repos = self.repositories.read();
-        let mut cleared = 0;
-        for repo in repos.values() {
-            if !repo.is_persistent() {
-                repo.clear();
-                cleared += 1;
-            }
-        }
-        cleared
     }
 
     /// Names of all repositories, in order.
@@ -199,15 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn get_or_create_cache_is_idempotent() {
-        let c = catalog();
-        let a = c.get_or_create_cache("scratch");
-        let b = c.get_or_create_cache("scratch");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!a.is_persistent());
-    }
-
-    #[test]
     fn store_root_reopens_persistent_repositories() {
         let tmp = qurator_rdf::storage::test_support::TempDir::new("catalog");
         let item = Term::iri("urn:lsid:t:h:1");
@@ -239,6 +232,28 @@ mod tests {
     }
 
     #[test]
+    fn repository_names_stay_inside_the_store_root() {
+        let tmp = qurator_rdf::storage::test_support::TempDir::new("catalog-names");
+        let c = catalog();
+        c.set_store_root(tmp.path().join("root")).unwrap();
+        for name in ["", ".", "..", "../escaped", "a/b", "a\\b", "/abs"] {
+            for persistent in [true, false] {
+                let err = c.create(name, persistent).unwrap_err();
+                assert!(
+                    matches!(err, AnnotationError::InvalidRepositoryName { .. }),
+                    "{name:?}: {err}"
+                );
+            }
+        }
+        assert!(!tmp.path().join("escaped").exists(), "a store opened outside the root");
+        // `stats` is reserved only where it would be a store directory
+        assert!(check_repository_name("stats", true).is_err());
+        assert!(c.create("stats", true).is_err());
+        assert!(c.create("stats", false).is_ok());
+        assert_eq!(c.names(), vec!["stats"]);
+    }
+
+    #[test]
     fn store_root_fails_fast_on_locked_store() {
         let tmp = qurator_rdf::storage::test_support::TempDir::new("catalog-lock");
         let first = catalog();
@@ -251,18 +266,5 @@ mod tests {
         assert!(err.to_string().contains("locked"), "err: {err}");
         assert!(c.store_root().is_none());
         assert!(c.names().is_empty());
-    }
-
-    #[test]
-    fn clear_caches_spares_persistent() {
-        let c = catalog();
-        let cache = c.create("cache", false).unwrap();
-        let durable = c.create("uniprot", true).unwrap();
-        let item = Term::iri("urn:lsid:t:h:1");
-        cache.annotate(&item, &q::iri("HitRatio"), 1.0.into()).unwrap();
-        durable.annotate(&item, &q::iri("HitRatio"), 1.0.into()).unwrap();
-        assert_eq!(c.clear_caches(), 1);
-        assert_eq!(cache.triple_count(), 0);
-        assert_eq!(durable.triple_count(), 3);
     }
 }

@@ -16,7 +16,7 @@
 //!   and a persistent/cache distinction (§4);
 //! * [`catalog`] — [`catalog::RepositoryCatalog`], the named collection of
 //!   repositories a quality process reads from and writes to
-//!   (`repositoryRef="cache"` in QV specifications).
+//!   (`repositoryRef="archive"` in QV specifications).
 
 pub mod catalog;
 pub mod map;
@@ -38,6 +38,9 @@ pub enum AnnotationError {
     UnknownRepository(String),
     /// A repository with that name already exists.
     DuplicateRepository(String),
+    /// The name cannot name a repository (see
+    /// [`catalog::check_repository_name`]).
+    InvalidRepositoryName { name: String, reason: &'static str },
     /// An RDF-level failure (store/query).
     Rdf(String),
 }
@@ -51,6 +54,9 @@ impl std::fmt::Display for AnnotationError {
             AnnotationError::UnknownRepository(m) => write!(f, "unknown repository {m:?}"),
             AnnotationError::DuplicateRepository(m) => {
                 write!(f, "repository {m:?} already exists")
+            }
+            AnnotationError::InvalidRepositoryName { name, reason } => {
+                write!(f, "invalid repository name {name:?}: {reason}")
             }
             AnnotationError::Rdf(m) => write!(f, "annotation store error: {m}"),
         }

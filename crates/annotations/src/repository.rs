@@ -124,9 +124,9 @@ pub struct AnnotationRepository {
 }
 
 impl AnnotationRepository {
-    /// Creates an in-memory repository. `persistent = false` marks a
-    /// per-execution cache whose contents are dropped by
-    /// [`AnnotationRepository::clear`] between process executions (§4).
+    /// Creates an in-memory repository. `persistent = false` marks a cache
+    /// (§4): one that `exec::bind` creates belongs to that run and is
+    /// dropped with it; one a caller creates stays the caller's.
     pub fn new(name: impl Into<String>, persistent: bool, iq: Arc<IqModel>) -> Self {
         AnnotationRepository {
             name: name.into(),
@@ -573,14 +573,6 @@ impl AnnotationRepository {
         Ok(written)
     }
 
-    /// Drops all annotations (cache repositories are cleared between
-    /// process executions; calling this on a persistent repository is
-    /// allowed but unusual and returns `false` to flag it).
-    pub fn clear(&self) -> bool {
-        self.store.write().clear();
-        !self.persistent
-    }
-
     /// Serializes the annotation graph as Turtle (persistence format).
     pub fn export_turtle(&self) -> String {
         let store = self.store.read();
@@ -727,17 +719,6 @@ mod tests {
             fresh.lookup(&item(1), &q::iri("HitRatio")).unwrap(),
             EvidenceValue::Number(0.5)
         );
-    }
-
-    #[test]
-    fn clear_flags_persistence() {
-        let iq = Arc::new(IqModel::with_proteomics_extension().unwrap());
-        let cache = AnnotationRepository::new("cache", false, iq.clone());
-        let durable = AnnotationRepository::new("uniprot", true, iq);
-        cache.annotate(&item(1), &q::iri("HitRatio"), 1.0.into()).unwrap();
-        assert!(cache.clear());
-        assert_eq!(cache.triple_count(), 0);
-        assert!(!durable.clear());
     }
 
     #[test]

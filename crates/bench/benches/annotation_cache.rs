@@ -41,15 +41,14 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     let iq = Arc::new(IqModel::with_proteomics_extension().expect("iq"));
 
     for &delay_us in &[0u64, 50] {
-        // cold: annotate on the fly each run, then enrich
+        // cold: each run annotates into its own fresh cache, then enriches
         let service = annotator(delay_us);
-        let cold_repo = AnnotationRepository::new("cache", false, iq.clone());
         group.throughput(Throughput::Elements(items as u64));
         group.bench_with_input(BenchmarkId::new("on_the_fly", delay_us), &delay_us, |b, _| {
             b.iter(|| {
-                cold_repo.clear();
-                service.annotate(&dataset, &cold_repo).expect("annotates");
-                black_box(cold_repo.enrich(&item_terms, &evidence).expect("enrich"))
+                let cache = AnnotationRepository::new("cache", false, iq.clone());
+                service.annotate(&dataset, &cache).expect("annotates");
+                black_box(cache.enrich(&item_terms, &evidence).expect("enrich"))
             })
         });
 

@@ -21,7 +21,6 @@ fn bench_interpret_vs_compiled(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("interpreter", items), &items, |b, _| {
             b.iter(|| {
                 let out = engine.execute_view(black_box(&spec), &dataset).expect("runs");
-                engine.finish_execution();
                 black_box(out)
             })
         });
@@ -31,7 +30,6 @@ fn bench_interpret_vs_compiled(c: &mut Criterion) {
             b.iter(|| {
                 let workflow = engine.compile(black_box(&spec)).expect("compiles");
                 let (out, _) = enact(&workflow, &spec, &dataset).expect("runs");
-                engine.finish_execution();
                 black_box(out)
             })
         });
@@ -51,14 +49,12 @@ fn bench_parallel_vs_sequential(c: &mut Criterion) {
     group.bench_function("wave_parallel", |b| {
         b.iter(|| {
             let r = Enactor::new().run(&workflow, &inputs, &Context::new()).expect("runs");
-            engine.finish_execution();
             black_box(r.outputs)
         })
     });
     group.bench_function("sequential", |b| {
         b.iter(|| {
             let r = Enactor::sequential().run(&workflow, &inputs, &Context::new()).expect("runs");
-            engine.finish_execution();
             black_box(r.outputs)
         })
     });

@@ -45,7 +45,6 @@ fn main() {
         .expect("baseline run");
     let report =
         Enactor::new().run(&hosted, &BTreeMap::new(), &Context::new()).expect("embedded run");
-    engine.finish_execution();
 
     let count = |outputs: &BTreeMap<String, Data>| -> f64 {
         outputs["go_counts"]

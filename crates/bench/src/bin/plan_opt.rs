@@ -47,7 +47,6 @@ fn main() {
             .iter()
             .map(|dataset| {
                 let outcome = engine.execute_view_with(&spec, dataset, config).expect("view runs");
-                engine.finish_execution();
                 outcome.group(FIGURE7_GROUP).map_or(0, |g| g.dataset.items().len())
             })
             .sum()

@@ -407,7 +407,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     }
     write_telemetry(args, &engine)?;
-    engine.finish_execution();
     Ok(())
 }
 
@@ -485,7 +484,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
         println!("folded stacks -> {path}");
     }
-    engine.finish_execution();
     Ok(())
 }
 
@@ -497,9 +495,8 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
     let data_path = args.get(1).filter(|a| !a.starts_with("--")).ok_or_else(usage)?;
     let store_dir = flag_value(args, "--store").ok_or("load needs --store <dir>")?;
     let repo = flag_value(args, "--repo").unwrap_or("archive");
-    if repo.is_empty() || repo.contains(['/', '\\']) || repo == "." || repo == ".." {
-        return Err(format!("--repo {repo:?} is not a valid repository name"));
-    }
+    qurator_annotations::catalog::check_repository_name(repo, true)
+        .map_err(|_| format!("--repo {repo:?} is not a valid repository name"))?;
 
     let text = read_file(data_path)?;
     let target = std::path::Path::new(store_dir).join(repo);
@@ -771,7 +768,6 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         print!("{}", trace.render_with(if show_spans { span_trace.as_ref() } else { None }));
     }
     write_telemetry(args, &engine)?;
-    engine.finish_execution();
     Ok(())
 }
 

@@ -1156,18 +1156,12 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert!(value.get("store_root").unwrap().is_null());
         assert_eq!(value.get("repositories").and_then(|v| v.as_array()).unwrap().len(), 0);
 
-        // A run creates the view's cache repository lazily; it shows up
-        // as a memory backend.
+        // The view's cache belongs to the run and goes with it, so the
+        // inventory stays empty after a run.
         assert_eq!(route(&state, "POST", "/run/serve-test", DATA).status, 200);
         let r = route(&state, "GET", "/store", "");
         let value = json::parse(&r.body).unwrap();
-        let repos = value.get("repositories").and_then(|v| v.as_array()).unwrap();
-        let cache = repos
-            .iter()
-            .find(|r| r.get("name").and_then(|v| v.as_str()) == Some("cache"))
-            .expect("cache repository listed");
-        assert_eq!(cache.get("backend").and_then(|v| v.as_str()), Some("memory"));
-        assert_eq!(cache.get("persistent").and_then(|v| v.as_bool()), Some(false));
+        assert_eq!(value.get("repositories").and_then(|v| v.as_array()).unwrap().len(), 0);
     }
 
     #[test]

@@ -379,6 +379,98 @@ fn serve_fails_fast_on_a_corrupt_store() {
     assert!(stderr.contains("bad magic"), "{stderr}");
 }
 
+/// A persistent repository that cannot be opened fails its run with a
+/// JSON error. The server's only worker survives that and keeps answering.
+#[test]
+fn unopenable_repository_fails_the_run_not_the_worker() {
+    let store = qurator_rdf::storage::test_support::TempDir::new("serve-unopenable");
+    // a regular file where the archive's store directory belongs
+    std::fs::write(store.path().join("archive"), "not a store").unwrap();
+    let (child, addr, _stdout) = spawn_serve_view(
+        "persistent_archive.xml",
+        &["--store", store.path().to_str().unwrap(), "--workers", "1"],
+    );
+    let (status, body) = post_archive_run(&addr);
+    let health = exchange(&addr, "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+    sigterm(&child);
+    assert!(wait_exit(child), "expected exit 0 after SIGTERM");
+
+    assert!(status.contains("400"), "{status}: {body}");
+    let value = qurator_telemetry::json::parse(&body).expect("error json");
+    let error = value.get("error").and_then(|v| v.as_str()).expect("error message");
+    assert!(error.contains("\"archive\""), "{error}");
+    assert!(health.0.contains("200"), "{health:?}");
+}
+
+/// `rows` hits over one fixed id set. `rising` flips the quality
+/// gradient, so every id carries opposite values in the two bodies.
+fn gradient_tsv(rows: usize, rising: bool) -> String {
+    let mut tsv = String::from("id\thitRatio\tmassCoverage\tpeptidesCount\n");
+    for index in 0..rows {
+        let rank = if rising { index + 1 } else { rows - index };
+        let quality = rank as f64 / rows as f64;
+        tsv.push_str(&format!(
+            "urn:lsid:t:isolation:H{index:05}\t{}\t{}\t{}\n",
+            0.05 + 0.9 * quality,
+            50.0 * quality,
+            (1.0 + 14.0 * quality) as i64
+        ));
+    }
+    tsv
+}
+
+/// POSTs `tsv` to the paper view; returns the response's groups.
+fn paper_run_groups(addr: &str, tsv: &str) -> qurator_telemetry::json::Value {
+    let (status, body) = exchange(
+        addr,
+        &format!(
+            "POST /run/ispider-pmf-quality HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n{tsv}",
+            tsv.len()
+        ),
+    );
+    assert!(status.contains("200"), "{status}: {body}");
+    let value = qurator_telemetry::json::parse(&body).expect("run json");
+    value.get("groups").cloned().expect("groups")
+}
+
+/// Run isolation through the real server: two workers run the same ids
+/// with opposite quality gradients at once, and each response equals the
+/// one that body gets alone.
+#[test]
+fn concurrent_runs_over_the_same_ids_each_get_their_solo_answer() {
+    const ROWS: usize = 1_000;
+    const ROUNDS: usize = 30;
+    let (child, addr, _stdout) = spawn_serve(&["--workers", "2"]);
+    let bodies = [gradient_tsv(ROWS, false), gradient_tsv(ROWS, true)];
+    let solo: Vec<_> = bodies.iter().map(|tsv| paper_run_groups(&addr, tsv)).collect();
+    let mut wrong_rounds = 0;
+    for _ in 0..ROUNDS {
+        let start = std::sync::Barrier::new(bodies.len());
+        let concurrent: Vec<_> = std::thread::scope(|scope| {
+            let runs: Vec<_> = bodies
+                .iter()
+                .map(|tsv| {
+                    let (addr, start) = (&addr, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        paper_run_groups(addr, tsv)
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
+        if concurrent != solo {
+            wrong_rounds += 1;
+        }
+    }
+    sigterm(&child);
+    assert!(wait_exit(child), "expected exit 0 after SIGTERM");
+
+    assert_ne!(solo[0], solo[1], "opposite gradients must keep different items");
+    assert_eq!(wrong_rounds, 0, "{wrong_rounds} of {ROUNDS} rounds differ from the solo answers");
+}
+
 #[test]
 fn rejects_bad_serve_flags() {
     let out = Command::new(env!("CARGO_BIN_EXE_qv"))

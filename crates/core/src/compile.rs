@@ -225,9 +225,8 @@ mod tests {
         let outputs: Vec<&str> = wf.outputs().map(|(n, _)| n).collect();
         assert_eq!(outputs, vec!["filter top k score"]);
 
-        // repositories were created
-        assert!(catalog.get("cache").is_some());
-        assert!(!catalog.get("cache").unwrap().is_persistent());
+        // the view's cache belongs to the workflow's bind, not the catalog
+        assert!(catalog.get("cache").is_none());
     }
 
     #[test]

@@ -174,7 +174,6 @@ mod tests {
         assert!(surviving > 0 && surviving < 4, "surviving = {surviving}");
 
         // compare with direct interpretation over the same data
-        engine.finish_execution();
         let mut ds = DataSet::new();
         let rows: [(u32, f64, f64, i64); 4] =
             [(1, 0.9, 45.0, 12), (2, 0.6, 28.0, 8), (3, 0.3, 12.0, 4), (4, 0.05, 2.0, 1)];

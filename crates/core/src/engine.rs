@@ -21,6 +21,7 @@ use crate::spec::QualityViewSpec;
 use crate::validate::{self, ValidatedView};
 use crate::{exec, planner, QuratorError, Result};
 use parking_lot::RwLock;
+use qurator_annotations::catalog::STATS_DIR;
 use qurator_annotations::RepositoryCatalog;
 use qurator_ontology::binding::BindingRegistry;
 use qurator_ontology::IqModel;
@@ -210,7 +211,7 @@ impl QualityEngine {
             return Some(profile);
         }
         let root = self.catalog.store_root()?;
-        StatsProfile::load(&root.join("stats").join(profile_file_name(view))).ok()
+        StatsProfile::load(&root.join(STATS_DIR).join(profile_file_name(view))).ok()
     }
 
     /// Writes every in-memory stats profile under `dir` (one JSON file
@@ -243,8 +244,10 @@ impl QualityEngine {
                 self.catalog
                     .store_root()
                     .and_then(|root| {
-                        StatsProfile::load(&root.join("stats").join(profile_file_name(&stats.view)))
-                            .ok()
+                        StatsProfile::load(
+                            &root.join(STATS_DIR).join(profile_file_name(&stats.view)),
+                        )
+                        .ok()
                     })
                     .filter(|persisted| persisted.key == key)
                     .unwrap_or_else(|| StatsProfile::new(stats.view.clone(), key))
@@ -253,7 +256,7 @@ impl QualityEngine {
             if let Some(root) = self.catalog.store_root() {
                 // best-effort persistence: a read-only store directory
                 // must not fail the run itself
-                let _ = profile.save(&root.join("stats").join(profile_file_name(&stats.view)));
+                let _ = profile.save(&root.join(STATS_DIR).join(profile_file_name(&stats.view)));
             }
         }
         let mut ring = self.run_stats.write();
@@ -844,10 +847,12 @@ impl QualityEngine {
         Ok((groups, rejected))
     }
 
-    /// Drops all cache-repository contents (between process executions).
-    pub fn finish_execution(&self) -> usize {
-        self.catalog.clear_caches()
-    }
+    /// Does nothing. A run's cache repositories belong to its bind and are
+    /// dropped when the run returns, so there is nothing to clear between
+    /// runs. Only the `e2e_layers/` benchmark harness still calls this;
+    /// the next change to that benchmark removes those calls and then this
+    /// method.
+    pub fn finish_execution(&self) {}
 }
 
 /// Ledger key for an item: the bare IRI when the term is one, else its
@@ -946,7 +951,6 @@ mod tests {
             ActionKind::Filter { condition: "ScoreClass in q:high, q:mid and HR_MC > 0".into() };
         let dataset = imprint_dataset();
         let interpreted = engine.execute_view(&spec, &dataset).unwrap();
-        engine.finish_execution();
         let workflow = engine.compile(&spec).unwrap();
         let (compiled, report) = compile::enact(&workflow, &spec, &dataset).unwrap();
         assert_eq!(interpreted, compiled);

@@ -9,13 +9,14 @@ use crate::operators::{
     DataEnrichmentProcessor,
 };
 use crate::{QuratorError, Result};
-use qurator_annotations::{AnnotationRepository, RepositoryCatalog};
+use qurator_annotations::{AnnotationError, AnnotationRepository, RepositoryCatalog};
 use qurator_ontology::IqModel;
 use qurator_plan::{ActKind, PhysicalPlan, ShortCircuit, CONSOLIDATE_NODE, ENRICH_NODE};
 use qurator_rdf::term::Iri;
 use qurator_services::{ServiceRegistry, VariableBindings};
 use qurator_telemetry::stats::StatsCollector;
 use qurator_workflow::{PortRef, Workflow};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Name of the workflow input carrying the data set.
@@ -51,6 +52,12 @@ pub struct BoundAssert {
 /// Binds a physical plan: resolves repositories by name (honouring the
 /// plan's persistence facts), looks up services in the registry, and
 /// instantiates one processor per plan node.
+///
+/// A name the catalog holds resolves to that repository. A missing name
+/// the plan marks persistent is created in the catalog. A missing
+/// volatile name gets one fresh memory repository owned by this bind:
+/// every operator of the bind shares it, and it is dropped with them
+/// (paper §4: a cache lives for one process execution).
 pub fn bind(
     plan: &PhysicalPlan,
     iq: &Arc<IqModel>,
@@ -58,13 +65,23 @@ pub fn bind(
     catalog: &RepositoryCatalog,
 ) -> Result<BoundPlan> {
     let stats = Arc::new(StatsCollector::new());
-    let resolve_repo = |name: &str| -> Arc<AnnotationRepository> {
+    let mut caches: HashMap<String, Arc<AnnotationRepository>> = HashMap::new();
+    let mut resolve_repo = |name: &str| -> Result<Arc<AnnotationRepository>> {
         if let Some(repo) = catalog.get(name) {
-            return repo;
+            return Ok(repo);
         }
-        catalog
-            .create(name, plan.repository_persistent(name))
-            .unwrap_or_else(|_| catalog.get(name).expect("created concurrently"))
+        if !plan.repository_persistent(name) {
+            let cache = caches
+                .entry(name.to_string())
+                .or_insert_with(|| Arc::new(AnnotationRepository::new(name, false, iq.clone())));
+            return Ok(cache.clone());
+        }
+        match catalog.create(name, true) {
+            // another bind created it since the lookup above
+            Err(AnnotationError::DuplicateRepository(_)) => catalog.require(name),
+            created => created,
+        }
+        .map_err(|e| QuratorError::Execution(format!("cannot open repository {name:?}: {e}")))
     };
 
     let mut annotators = Vec::with_capacity(plan.annotators.len());
@@ -72,7 +89,7 @@ pub fn bind(
         let service = registry
             .annotator(&node.service_type)
             .map_err(|e| QuratorError::Compile(e.to_string()))?;
-        let repo = resolve_repo(&node.repository);
+        let repo = resolve_repo(&node.repository)?;
         annotators.push((
             node.name.clone(),
             Arc::new(
@@ -85,7 +102,7 @@ pub fn bind(
     // repository grouping answers each plan group with one bulk lookup.
     let mut fetches: Vec<(Iri, Arc<AnnotationRepository>)> = Vec::with_capacity(plan.fetch_count());
     for group in &plan.enrich {
-        let repo = resolve_repo(&group.repository);
+        let repo = resolve_repo(&group.repository)?;
         for evidence in &group.evidence {
             fetches.push((evidence.clone(), repo.clone()));
         }

@@ -62,9 +62,10 @@
 //!   </QualityView>
 //! "#).unwrap();
 //!
-//! // 3. data + pre-existing annotations
+//! // 3. data + pre-existing annotations, in a cache registered up front:
+//! //    a registered cache stays the caller's, so runs read it as-is
 //! let mut dataset = DataSet::new();
-//! let cache = engine.catalog().get_or_create_cache("cache");
+//! let cache = engine.catalog().create("cache", false).unwrap();
 //! for (i, hr) in [0.9, 0.1, 0.7].iter().enumerate() {
 //!     let item = qurator_rdf::term::Term::iri(format!("urn:lsid:t:hit:{i}"));
 //!     dataset.push(item.clone(), [] as [(String, qurator_annotations::EvidenceValue); 0]);

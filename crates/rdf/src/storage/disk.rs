@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use super::dict::DiskDict;
 use super::segment::{sync_dir, BaseSegment, Order, SegmentWriter};
-use super::wal::{Wal, OP_ADD, OP_CLEAR, OP_DEL};
+use super::wal::{Wal, OP_ADD, OP_DEL};
 use super::{IndexChoice, Storage, StorageStatus};
 
 fn compact_count() -> &'static Arc<Counter> {
@@ -216,9 +216,6 @@ pub struct DiskBackend {
     _lock: LockGuard,
     dict: DiskDict,
     base: Option<BaseSegment>,
-    /// A `clear()` happened since the last compaction: the base segment is
-    /// logically empty (cache-repository semantics keep the dictionary).
-    base_cleared: bool,
     /// Triples inserted since the last compaction (disjoint from live base).
     adds: Delta,
     /// Tombstones for base triples deleted since the last compaction.
@@ -274,24 +271,23 @@ impl DiskBackend {
                         dels.insert(key);
                     }
                 }
+                // OP_CLEAR, from stores written while `Storage::clear`
+                // existed: it empties the store but keeps the dictionary
                 _ => {
                     base_cleared = true;
                     adds.clear();
                     dels.clear();
                 }
             })?;
-            let base_live = if base_cleared {
-                0
-            } else {
-                base.as_ref().map_or(0, |b| b.count as usize) - dels.len()
-            };
-            let live = base_live + adds.len();
+            // a replayed clear leaves the base empty; the compaction below
+            // (the journal is non-empty) rewrites it from the delta alone
+            let base = if base_cleared { None } else { base };
+            let live = base.as_ref().map_or(0, |b| b.count as usize) - dels.len() + adds.len();
             let mut backend = DiskBackend {
                 dir,
                 _lock: lock,
                 dict,
                 base,
-                base_cleared,
                 adds,
                 dels,
                 wal,
@@ -336,9 +332,6 @@ impl DiskBackend {
     }
 
     fn base_has(&self, key: Key) -> Result<bool> {
-        if self.base_cleared {
-            return Ok(false);
-        }
         match &self.base {
             Some(b) => b.contains(key),
             None => Ok(false),
@@ -361,9 +354,9 @@ impl DiskBackend {
         k1: Option<u32>,
         k2: Option<u32>,
     ) -> impl Iterator<Item = Key> + '_ {
-        let base: Box<dyn Iterator<Item = Key> + '_> = match (&self.base, self.base_cleared) {
-            (Some(b), false) => Box::new(b.scan(order, k0, k1)),
-            _ => Box::new(std::iter::empty()),
+        let base: Box<dyn Iterator<Item = Key> + '_> = match &self.base {
+            Some(b) => Box::new(b.scan(order, k0, k1)),
+            None => Box::new(std::iter::empty()),
         };
         let delta = GraphStore::scan(self.adds.set(order), k0, k1, k2);
         MergeAsc { a: base.peekable(), b: delta.peekable() }
@@ -417,7 +410,6 @@ impl DiskBackend {
         }
         writer.finish(count)?;
         self.base = BaseSegment::open(&target, self.dict.len())?;
-        self.base_cleared = false;
         self.adds.clear();
         self.dels.clear();
         self.wal.reset()?;
@@ -570,18 +562,6 @@ impl Storage for DiskBackend {
         }
     }
 
-    fn clear(&mut self) {
-        if self.live == 0 && !self.base_cleared {
-            return;
-        }
-        if self.wal.append(OP_CLEAR, (0, 0, 0)).is_ok() {
-            self.base_cleared = true;
-            self.adds.clear();
-            self.dels.clear();
-            self.live = 0;
-        }
-    }
-
     fn flush(&mut self) -> Result<()> {
         if self.wal.records >= self.auto_compact_records {
             return self.compact();
@@ -604,11 +584,7 @@ impl Storage for DiskBackend {
             triples: self.live,
             terms: self.dict.len(),
             journal_records: self.wal.records,
-            base_triples: if self.base_cleared {
-                0
-            } else {
-                self.base.as_ref().map_or(0, |b| b.count)
-            },
+            base_triples: self.base.as_ref().map_or(0, |b| b.count),
             dict_bytes: self.dict.bytes(),
             compactions: self.compactions,
             last_compaction_us: (self.compactions > 0).then_some(self.last_compaction_us),

@@ -17,12 +17,12 @@
 //! # Id stability (invariant)
 //!
 //! Term ids returned by [`Storage::id_of`] are assigned at intern time and
-//! remain valid for the *entire lifetime of the store* — across `clear`,
-//! `flush`, `checkpoint`/compaction, and (for durable backends) process
-//! restarts. Ids are never reused or remapped; compaction rewrites triple
-//! segments but never the dictionary. Consequently id order is intern
-//! order on every backend, which is what makes the ascending id-space
-//! scans (`edge_ids`, `object_ids`) and their first-wins consumers
+//! remain valid for the *entire lifetime of the store* — across `flush`,
+//! `checkpoint`/compaction, and (for durable backends) process restarts.
+//! Ids are never reused or remapped; compaction rewrites triple segments
+//! but never the dictionary. Consequently id order is intern order on
+//! every backend, which is what makes the ascending id-space scans
+//! (`edge_ids`, `object_ids`) and their first-wins consumers
 //! deterministic and backend-independent. Code holding ids from an
 //! *external* source (disk segments, the network) must resolve them with
 //! [`Storage::try_term_at`], which turns a corrupt or foreign id into
@@ -81,7 +81,7 @@ pub struct StorageStatus {
 ///
 /// Implementations must uphold the **id-stability invariant** documented on
 /// [the module](self): ids are assigned in intern order, never reused, and
-/// survive `clear`/`checkpoint`/reopen. All id-space scans yield ascending
+/// survive `checkpoint`/reopen. All id-space scans yield ascending
 /// key order (`edge_ids` ascending `(object, subject)`, `object_ids`
 /// ascending object id), matching `GraphStore`'s BTreeSet semantics.
 pub trait Storage: Send + Sync + std::fmt::Debug {
@@ -132,11 +132,6 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
 
     /// Mints a store-scoped fresh blank node (not yet interned).
     fn fresh_blank(&mut self) -> Term;
-
-    /// Removes all triples but keeps the dictionary (cache-repository
-    /// clears between quality-process executions stay cheap, and ids stay
-    /// stable per the module invariant).
-    fn clear(&mut self);
 
     /// Durability barrier: after `Ok(())`, every previously acknowledged
     /// mutation survives a crash. No-op for volatile backends.
@@ -275,10 +270,6 @@ impl Storage for GraphStore {
 
     fn fresh_blank(&mut self) -> Term {
         GraphStore::fresh_blank(self)
-    }
-
-    fn clear(&mut self) {
-        GraphStore::clear(self)
     }
 }
 
@@ -419,10 +410,6 @@ mod tests {
         assert!(d.remove(&tr(1, 2, 3)));
         assert!(!d.remove(&tr(1, 2, 3)));
         assert!(d.is_empty());
-        assert!(d.insert(tr(9, 9, 9)).unwrap());
-        d.clear();
-        assert!(d.is_empty());
-        assert!(d.term_count() > 0, "dictionary survives clear");
     }
 
     #[test]
@@ -470,17 +457,28 @@ mod tests {
         let id = {
             let mut d = DiskBackend::open(dir.path()).unwrap();
             d.insert(Triple::new(term.clone(), iri(1), iri(2))).unwrap();
-            let id = d.id_of(&term).unwrap();
-            d.clear();
-            d.insert(tr(7, 8, 9)).unwrap();
-            assert_eq!(d.id_of(&term), Some(id), "id survives clear");
-            d.checkpoint().unwrap();
-            assert_eq!(d.id_of(&term), Some(id), "id survives compaction");
-            id
+            d.checkpoint().unwrap(); // this triple in the base segment …
+            d.insert(tr(7, 8, 9)).unwrap(); // … and this one in the journal
+            d.id_of(&term).unwrap()
         };
+        // A journal written while `Storage::clear` existed may hold a
+        // clear record. Replay empties the store, base and journal alike,
+        // but keeps the dictionary.
+        let mut wal = super::wal::Wal::open(&dir.join("wal.log"), usize::MAX, |_, _| {}).unwrap();
+        wal.append(super::wal::OP_CLEAR, (0, 0, 0)).unwrap();
+        wal.flush().unwrap();
+        drop(wal);
+        let mut d = DiskBackend::open(dir.path()).unwrap();
+        assert!(d.is_empty(), "replayed clear");
+        assert_eq!(d.id_of(&term), Some(id), "id survives clear");
+        assert!(d.insert(tr(7, 8, 9)).unwrap(), "a cleared triple inserts anew");
+        d.checkpoint().unwrap();
+        assert_eq!(d.id_of(&term), Some(id), "id survives compaction");
+        drop(d);
         let d = DiskBackend::open(dir.path()).unwrap();
         assert_eq!(d.id_of(&term), Some(id), "id survives reopen");
         assert_eq!(d.try_term_at(id), Some(term));
+        assert_eq!(d.len(), 1);
     }
 
     #[test]

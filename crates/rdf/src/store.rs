@@ -323,14 +323,6 @@ impl GraphStore {
     pub fn extend(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
         triples.into_iter().filter(|t| self.insert(t.clone())).count()
     }
-
-    /// Removes all triples but keeps the dictionary (cheap clear between
-    /// quality-process executions of a cache repository).
-    pub fn clear(&mut self) {
-        self.spo.clear();
-        self.pos.clear();
-        self.osp.clear();
-    }
 }
 
 impl FromIterator<Triple> for GraphStore {
@@ -476,7 +468,8 @@ mod tests {
         let removed = g.remove_matching(&TriplePattern::new(iri(1), None, None));
         assert_eq!(removed, 2);
         assert_eq!(g.len(), 1);
-        g.clear();
+        // the all-wildcard pattern clears the store; ids stay interned
+        assert_eq!(g.remove_matching(&TriplePattern::new(None, None, None)), 1);
         assert!(g.is_empty());
         assert!(g.term_count() > 0, "dictionary survives clear");
     }

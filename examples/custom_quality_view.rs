@@ -171,7 +171,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trusted_before = outcome.group("triage/trusted").unwrap().dataset.len();
 
     // -- 5. edit a condition and re-run (no recompilation, §4)
-    engine.finish_execution();
     if let qurator::spec::ActionKind::Split { groups } = &mut view.actions[0].kind {
         groups[0].1 = "WScore >= 40".to_string();
     }
@@ -181,6 +180,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("trusted group grew from {trusted_before} to {trusted_after} items");
 
     assert!(trusted_after >= trusted_before);
-    engine.finish_execution();
     Ok(())
 }

@@ -98,11 +98,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workflow.data_links().len(),
         workflow.control_links().len()
     );
-    engine.finish_execution();
 
     // sanity for `cargo test --examples`-style smoke runs
     assert!(kept.dataset.len() < dataset.len());
-    assert!(engine.catalog().get("cache").is_some());
+    // the view's cache belonged to each run and went with it
+    assert!(engine.catalog().get("cache").is_none());
     let _ = q::iri("HitRatio");
     Ok(())
 }

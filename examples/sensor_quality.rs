@@ -203,6 +203,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recalibrate.dataset.items().iter().any(|i| i.as_iri().unwrap().local_name() == "WS-005"),
         "the worst, oldest station is flagged for recalibration"
     );
-    engine.finish_execution();
     Ok(())
 }

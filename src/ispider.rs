@@ -150,7 +150,6 @@ impl<'a> IspiderPipeline<'a> {
             let hits = self.world.imprint.search(peak_list);
             let dataset = hits_to_dataset(&peak_list.spot_id, &hits);
             let outcome = self.engine.execute_view(spec, &dataset)?;
-            self.engine.finish_execution();
             let surviving = outcome.group(group).ok_or_else(|| {
                 qurator::QuratorError::Execution(format!("no action group {group:?}"))
             })?;

@@ -63,10 +63,8 @@ fn interpreter_and_compiled_agree_on_real_spots() {
         let dataset = hits_to_dataset(&peak_list.spot_id, &hits);
 
         let interpreted = engine.execute_view(&view, &dataset).expect("interprets");
-        engine.finish_execution();
         let workflow = engine.compile(&view).expect("compiles");
         let (compiled, _) = enact(&workflow, &view, &dataset).expect("enacts");
-        engine.finish_execution();
         assert_eq!(interpreted, compiled, "spot {}", peak_list.spot_id);
     }
 }
@@ -83,9 +81,7 @@ fn xml_roundtripped_view_behaves_identically() {
     let peak_list = &world.peak_lists()[0];
     let dataset = hits_to_dataset(&peak_list.spot_id, &world.imprint.search(peak_list));
     let a = engine.execute_view(&view, &dataset).expect("runs");
-    engine.finish_execution();
     let b = engine.execute_view(&reparsed, &dataset).expect("runs");
-    engine.finish_execution();
     assert_eq!(a, b);
 }
 
@@ -115,7 +111,6 @@ fn embedded_workflow_matches_direct_pipeline() {
     let report = Enactor::new().run(&hosted, &BTreeMap::new(), &Context::new()).expect("enacts");
     let total: f64 =
         report.outputs["go_counts"].as_record().unwrap().values().filter_map(Data::as_number).sum();
-    engine.finish_execution();
 
     let engine2 = QualityEngine::with_proteomics_defaults().expect("engine");
     let direct = IspiderPipeline::new(&world, &engine2)
@@ -268,7 +263,6 @@ fn multi_action_views_agree_across_paths() {
         );
     }
     let interpreted = engine.execute_view(&spec, &dataset).expect("interprets");
-    engine.finish_execution();
     let workflow = engine.compile(&spec).expect("compiles");
     let (compiled, _) = enact(&workflow, &spec, &dataset).expect("enacts");
     assert_eq!(interpreted, compiled);

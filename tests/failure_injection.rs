@@ -123,7 +123,7 @@ fn repository_type_violation_surfaces_at_execution() {
     // non-evidence class would be refused by the repository; simulate by
     // annotating directly
     let engine = engine();
-    let cache = engine.catalog().get_or_create_cache("cache");
+    let cache = engine.catalog().create("cache", false).expect("cache");
     let err = cache
         .annotate(&Term::iri("urn:lsid:t:h:1"), &q::iri("UniversalPIScore"), 1.0.into())
         .unwrap_err();
@@ -175,7 +175,6 @@ fn deep_chain_of_tag_dependencies_compiles_and_runs() {
 
     let dataset = hits(6);
     let direct = engine.execute_view(&spec, &dataset).expect("interprets");
-    engine.finish_execution();
     let workflow = engine.compile(&spec).expect("compiles");
     let (compiled, _) = qurator::compile::enact(&workflow, &spec, &dataset).expect("enacts");
     assert_eq!(direct, compiled);

@@ -169,7 +169,6 @@ fn machine_applicable_count(source: &str) -> usize {
 fn outcome_groups(spec: &QualityViewSpec) -> BTreeMap<String, BTreeSet<String>> {
     let engine = engine();
     let outcome = engine.execute_view(spec, dataset()).expect("view enacts");
-    engine.finish_execution();
     outcome
         .groups
         .iter()
@@ -213,7 +212,6 @@ fn ledger_projection(
         actions.sort();
         out.insert(item, (facts, actions));
     }
-    engine.finish_execution();
     out
 }
 

@@ -176,7 +176,6 @@ proptest! {
             prop_assert!(workflow.is_ok(), "accepted view failed to compile: {workflow:?}");
             // … and enacts with no execution (or any other) failure.
             let outcome = engine.execute_view(&spec, dataset());
-            engine.finish_execution();
             prop_assert!(outcome.is_ok(), "accepted view failed to enact: {:?}", outcome.err());
         }
     }
@@ -255,7 +254,6 @@ fn run_interpreted(
     engine.set_provenance_enabled(true);
     let outcome = engine.execute_view_with(spec, dataset(), config).expect("accepted view runs");
     let ledger = project_ledger(&engine);
-    engine.finish_execution();
     (outcome, ledger)
 }
 
@@ -307,7 +305,6 @@ proptest! {
         let workflow = compiled_engine.compile(&spec).expect("accepted view compiles");
         let (compiled_outcome, _report) =
             qurator::compile::enact(&workflow, &spec, dataset()).expect("accepted view enacts");
-        compiled_engine.finish_execution();
         prop_assert_eq!(&opt_outcome, &compiled_outcome, "paths disagree on the outcome");
     }
 }

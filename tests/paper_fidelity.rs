@@ -65,7 +65,7 @@ fn figure_2_annotation_encoding_matches() {
     // that this is an instance of Imprint Hit Entry. The data is annotated
     // with literal-encoded RDF values for quality evidence…"
     let engine = QualityEngine::with_proteomics_defaults().expect("engine");
-    let cache = engine.catalog().get_or_create_cache("cache");
+    let cache = engine.catalog().create("cache", false).expect("cache");
     let p30089 = Term::iri("urn:lsid:uniprot.org:uniprot:P30089");
     cache.record_item_type(&p30089, &q::iri("ImprintHitEntry")).expect("typed");
     cache.annotate(&p30089, &q::iri("HitRatio"), 0.82.into()).expect("annotated");
@@ -181,7 +181,7 @@ fn run_time_model_views_apply_to_any_annotated_dataset() {
         v.actions[0].kind = ActionKind::Filter { condition: "HR_MC > 0".into() };
         v
     };
-    let cache = engine.catalog().get_or_create_cache("cache");
+    let cache = engine.catalog().create("cache", false).expect("cache");
     for (domain, count) in [("proteins", 4u32), ("spectra", 3)] {
         for i in 0..count {
             let item = Term::iri(format!("urn:lsid:test:{domain}:{i}"));

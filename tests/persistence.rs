@@ -1,6 +1,6 @@
 //! Persistence integration: Turtle round-trips of annotation
-//! repositories, cache clearing between executions, and the warm-store
-//! execution path (§4's persistent-annotation scenario).
+//! repositories, run-owned caches, and the warm-store execution path
+//! (§4's persistent-annotation scenario).
 
 use qurator::prelude::*;
 use qurator::spec::{ActionDecl, ActionKind, AssertionDecl, TagKind, VarDecl};
@@ -58,37 +58,37 @@ fn turtle_snapshot_restores_execution_behaviour() {
 
 #[test]
 fn cache_clearing_isolates_executions() {
-    let engine = QualityEngine::with_proteomics_defaults().expect("engine");
-    let dataset = {
+    // A run's cache belongs to that run: the catalog never holds it, and a
+    // later run over other values for the same ids gets its solo answer.
+    let hits = |rising: bool| {
         let mut ds = DataSet::new();
         for i in 0..5u32 {
+            let quality = if rising { i } else { 4 - i } as f64;
             ds.push(
                 item(i),
                 [
-                    ("hitRatio", EvidenceValue::from(0.2 * i as f64)),
-                    ("massCoverage", EvidenceValue::from(8.0 * i as f64)),
-                    ("peptidesCount", EvidenceValue::from(i as i64)),
+                    ("hitRatio", EvidenceValue::from(0.2 * quality)),
+                    ("massCoverage", EvidenceValue::from(8.0 * quality)),
+                    ("peptidesCount", EvidenceValue::from(quality as i64)),
                 ],
             );
         }
         ds
     };
-    engine.execute_view(&QualityViewSpec::paper_example(), &dataset).expect("runs");
-    let cache = engine.catalog().get("cache").expect("created by run");
-    assert!(cache.triple_count() > 0, "annotations written");
-    assert!(!cache.is_persistent());
-    let cleared = engine.finish_execution();
-    assert_eq!(cleared, 1);
-    assert_eq!(cache.triple_count(), 0, "cache dropped between executions");
-}
-
-#[test]
-fn persistent_repositories_survive_finish_execution() {
+    let mut spec = QualityViewSpec::paper_example();
+    spec.actions[0].kind =
+        ActionKind::Filter { condition: "ScoreClass in q:high, q:mid and HR_MC > 0".into() };
     let engine = QualityEngine::with_proteomics_defaults().expect("engine");
-    let uniprot = engine.catalog().create("uniprot", true).expect("create");
-    uniprot.annotate(&item(1), &q::iri("HitRatio"), 0.9.into()).expect("annotate");
-    engine.finish_execution();
-    assert_eq!(uniprot.triple_count(), 3);
+    let first = engine.execute_view(&spec, &hits(true)).expect("runs");
+    assert!(engine.catalog().get("cache").is_none(), "the run's cache outlived it");
+    let second = engine.execute_view(&spec, &hits(false)).expect("runs");
+    let solo = QualityEngine::with_proteomics_defaults()
+        .expect("engine")
+        .execute_view(&spec, &hits(false))
+        .expect("runs");
+    assert_eq!(second, solo);
+    assert!(!second.groups[0].dataset.is_empty());
+    assert_ne!(first.groups[0].dataset.items(), second.groups[0].dataset.items());
 }
 
 #[test]
@@ -121,4 +121,24 @@ fn concurrent_views_share_one_persistent_repository() {
             });
         }
     });
+}
+
+#[test]
+fn unopenable_persistent_repository_is_an_execution_error() {
+    // a regular file where the archive's store directory belongs
+    let root = qurator_rdf::storage::test_support::TempDir::new("unopenable");
+    std::fs::write(root.join("archive"), "not a store").expect("write");
+    let engine = QualityEngine::with_proteomics_defaults().expect("engine");
+    engine.set_store_root(root.path()).expect("the scan skips regular files");
+    let spec =
+        qurator::xmlio::parse_quality_view(include_str!("../samples/persistent_archive.xml"))
+            .expect("parses");
+    let hits = DataSet::from_items((0..3).map(item));
+    match engine.execute_view(&spec, &hits) {
+        Err(QuratorError::Execution(message)) => {
+            assert!(message.contains("\"archive\""), "{message}");
+        }
+        other => panic!("expected an execution error, got {other:?}"),
+    }
+    assert!(engine.catalog().get("archive").is_none());
 }

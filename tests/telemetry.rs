@@ -77,7 +77,6 @@ fn why_round_trips_against_the_action_outcome() {
             assert!(trace.span(SpanId(span)).is_some());
         }
     }
-    engine.finish_execution();
 }
 
 #[test]
