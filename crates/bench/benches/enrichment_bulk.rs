@@ -108,10 +108,7 @@ fn bench_enrichment(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bulk", n), &n, |b, _| {
             b.iter(|| black_box(repo.enrich_bulk(&items, &types).expect("bulk")))
         });
-        let processor = DataEnrichmentProcessor::new(
-            "de",
-            types.iter().map(|t| (t.clone(), repo.clone())).collect(),
-        );
+        let processor = DataEnrichmentProcessor::new("de", vec![(repo.clone(), types.to_vec())]);
         group.bench_with_input(BenchmarkId::new("parallel_bulk", n), &n, |b, _| {
             b.iter(|| black_box(processor.enrich(&items).expect("enrich")))
         });
@@ -134,10 +131,10 @@ fn bench_multi_repo(c: &mut Criterion) {
     for &n in &[1_000usize, 10_000, 100_000] {
         let dataset = synthetic_hits(n);
         let items = dataset.items().to_vec();
-        let plan: Vec<(Iri, Arc<AnnotationRepository>)> = FIELDS
+        let plan: Vec<(Arc<AnnotationRepository>, Vec<Iri>)> = FIELDS
             .iter()
             .zip(types.iter())
-            .map(|(field, t)| (t.clone(), populated(&dataset, &[(field, t.clone())], &iq)))
+            .map(|(field, t)| (populated(&dataset, &[(field, t.clone())], &iq), vec![t.clone()]))
             .collect();
         group.throughput(Throughput::Elements((n * types.len()) as u64));
 

@@ -520,7 +520,10 @@ fn run_view(state: &ServeState, view: &str, body: &str) -> Response {
     let outcome = match state.engine.execute_view_run(spec, &dataset, run) {
         Ok(o) => o,
         Err(e) => {
-            let mut response = Response::error(400, &e.to_string());
+            // a failing store is the server's fault; anything else is the
+            // view's or the data's
+            let status = if matches!(e, QuratorError::Storage(_)) { 500 } else { 400 };
+            let mut response = Response::error(status, &e.to_string());
             response.run_id = Some(run);
             return response;
         }

@@ -25,9 +25,17 @@ fn spawn_serve_view(
     view: &str,
     extra: &[&str],
 ) -> (Child, String, BufReader<std::process::ChildStdout>) {
+    spawn_serve_path(&sample(view), extra)
+}
+
+/// [`spawn_serve_view`] for a view file anywhere on disk.
+fn spawn_serve_path(
+    path: &str,
+    extra: &[&str],
+) -> (Child, String, BufReader<std::process::ChildStdout>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_qv"))
         .arg("serve")
-        .arg(sample(view))
+        .arg(path)
         .args(["--addr", "127.0.0.1:0"])
         .args(extra)
         .stdout(Stdio::piped())
@@ -380,7 +388,9 @@ fn serve_fails_fast_on_a_corrupt_store() {
 }
 
 /// A persistent repository that cannot be opened fails its run with a
-/// JSON error. The server's only worker survives that and keeps answering.
+/// JSON 500: the store failed, not the request. `/slo` charges it to the
+/// `/run` route's availability budget. The server's only worker survives
+/// that and keeps answering.
 #[test]
 fn unopenable_repository_fails_the_run_not_the_worker() {
     let store = qurator_rdf::storage::test_support::TempDir::new("serve-unopenable");
@@ -392,14 +402,49 @@ fn unopenable_repository_fails_the_run_not_the_worker() {
     );
     let (status, body) = post_archive_run(&addr);
     let health = exchange(&addr, "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+    let slo = exchange(&addr, "GET /slo HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
     sigterm(&child);
     assert!(wait_exit(child), "expected exit 0 after SIGTERM");
 
-    assert!(status.contains("400"), "{status}: {body}");
+    assert!(status.contains("500"), "{status}: {body}");
     let value = qurator_telemetry::json::parse(&body).expect("error json");
     let error = value.get("error").and_then(|v| v.as_str()).expect("error message");
     assert!(error.contains("\"archive\""), "{error}");
     assert!(health.0.contains("200"), "{health:?}");
+
+    let value = qurator_telemetry::json::parse(&slo.1).expect("slo json");
+    let routes = value.get("routes").and_then(|v| v.as_array()).expect("routes");
+    let run = routes
+        .iter()
+        .find(|r| r.get("route").and_then(|v| v.as_str()) == Some("/run"))
+        .unwrap_or_else(|| panic!("no /run route in {}", slo.1));
+    let availability = run.get("availability").expect("availability objective");
+    assert_eq!(availability.get("total").and_then(|v| v.as_u64()), Some(1), "{}", slo.1);
+    assert_eq!(availability.get("bad").and_then(|v| v.as_u64()), Some(1), "{}", slo.1);
+}
+
+/// A view naming a repository no store may hold is the caller's error:
+/// 400, even though the failure surfaces while opening the store.
+#[test]
+fn escaping_repository_name_is_a_bad_request() {
+    let store = qurator_rdf::storage::test_support::TempDir::new("serve-escaped");
+    let view = std::fs::read_to_string(sample("persistent_archive.xml"))
+        .unwrap()
+        .replace("repositoryRef=\"archive\"", "repositoryRef=\"../escaped\"");
+    let view_path = store.path().join("escaped.xml");
+    std::fs::write(&view_path, view).unwrap();
+    let stores = store.path().join("stores");
+    std::fs::create_dir(&stores).unwrap();
+    let (child, addr, _stdout) = spawn_serve_path(
+        view_path.to_str().unwrap(),
+        &["--store", stores.to_str().unwrap(), "--workers", "1"],
+    );
+    let (status, body) = post_archive_run(&addr);
+    sigterm(&child);
+    assert!(wait_exit(child), "expected exit 0 after SIGTERM");
+
+    assert!(status.contains("400"), "{status}: {body}");
+    assert!(body.contains("../escaped"), "{body}");
 }
 
 /// `rows` hits over one fixed id set. `rising` flips the quality

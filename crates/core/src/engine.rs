@@ -180,7 +180,7 @@ impl QualityEngine {
     /// fsync their journal). Hosts call this before acknowledging a run
     /// so annotations survive a crash immediately after the response.
     pub fn flush_stores(&self) -> Result<()> {
-        self.catalog.flush_all().map_err(|e| QuratorError::Execution(e.to_string()))
+        self.catalog.flush_all().map_err(|e| QuratorError::Storage(e.to_string()))
     }
 
     /// Switches observed-statistics collection on or off (on by default).
@@ -620,11 +620,19 @@ impl QualityEngine {
             }
         };
         rec.attr(view_span, "rejected", rejected as usize);
-        // closes the view span and, on the error path, whichever node or
-        // phase span the failure interrupted
+        // fold the stats before the release: long-lived allocations made
+        // right after the caches are freed land in the freed heap,
+        // fragment it and raise the peak RSS of later runs
+        self.note_run_stats(bound.stats.drain(&plan.view, Some(run), dataset.len() as u64));
+        // on the error path, closes whichever node or phase span the
+        // failure interrupted
+        rec.end_open_except(view_span);
+        // the bind owns the run's caches: freeing them is part of the run
+        let release = rec.start("phase:release", SpanKind::Phase, Some(view_span));
+        drop(bound);
+        rec.end(release);
         rec.end_open();
         let trace = SpanTrace::from_spans(rec.finish());
-        self.note_run_stats(bound.stats.drain(&plan.view, Some(run), dataset.len() as u64));
         self.observe_trace(
             trace,
             RunContext { run_id: run, view: plan.view.clone(), error, rejected },
@@ -744,9 +752,9 @@ impl QualityEngine {
                 .iter()
                 .zip(&action_slices)
                 .zip(&action_spans)
-                .map(|((act, &(start, end)), &span)| match &act.node.kind {
+                .map(|((act, &(start, end)), &span)| match &act.kind {
                     ActKind::Filter { condition } => ActionPlan::Filter {
-                        group: Arc::from(act.node.name.as_str()),
+                        group: Arc::from(act.name.as_str()),
                         condition: Some(Arc::from(condition.as_str())),
                         members: start,
                         span,
@@ -838,7 +846,7 @@ impl QualityEngine {
         // rejected tally for the retainer's tail-sampling policy
         let mut rejected = 0u64;
         for (act, &(start, _)) in plan.actions.iter().zip(&action_slices) {
-            if matches!(act.node.kind, ActKind::Filter { .. }) {
+            if matches!(act.kind, ActKind::Filter { .. }) {
                 if let Some(group) = groups.get(start) {
                     rejected += dataset.len().saturating_sub(group.dataset.len()) as u64;
                 }
@@ -1137,6 +1145,13 @@ mod tests {
         let trace = engine.last_trace().expect("trace recorded");
         trace.validate().expect("interpreter span tree is well-formed");
         assert!(trace.roots().any(|s| s.name.starts_with("view:")));
+        assert_eq!(release_spans(&trace).len(), 1, "the bind is freed inside the view span");
+    }
+
+    /// The `phase:release` children of the trace's view span.
+    fn release_spans(trace: &SpanTrace) -> Vec<&qurator_telemetry::Span> {
+        let root = trace.roots().next().expect("view span");
+        trace.children(root.id).into_iter().filter(|s| s.name == "phase:release").collect()
     }
 
     #[test]
@@ -1247,6 +1262,11 @@ mod tests {
         trace.validate().expect("every span closed on the error path");
         let root = trace.roots().next().unwrap();
         assert!(root.attr("error").is_some(), "view span carries the error");
+        // the failed node's span closes before the bind is released
+        let release = release_spans(&trace);
+        assert_eq!(release.len(), 1, "the failed run still frees its bind in a span");
+        let failed = trace.spans().iter().find(|s| s.name == "node:failing").unwrap();
+        assert!(failed.end_ns.unwrap() <= release[0].start_ns);
         assert_eq!(retainer.resident(), 1);
         assert_eq!(retainer.recent(1)[0].reason, qurator_telemetry::KeepReason::Error);
     }

@@ -11,8 +11,7 @@ use crate::operators::{
 use crate::{QuratorError, Result};
 use qurator_annotations::{AnnotationError, AnnotationRepository, RepositoryCatalog};
 use qurator_ontology::IqModel;
-use qurator_plan::{ActKind, PhysicalPlan, ShortCircuit, CONSOLIDATE_NODE, ENRICH_NODE};
-use qurator_rdf::term::Iri;
+use qurator_plan::{ActKind, PhysicalPlan, CONSOLIDATE_NODE, ENRICH_NODE};
 use qurator_services::{ServiceRegistry, VariableBindings};
 use qurator_telemetry::stats::StatsCollector;
 use qurator_workflow::{PortRef, Workflow};
@@ -27,12 +26,11 @@ pub struct BoundPlan {
     /// Annotation operators, in plan order.
     pub annotators: Vec<(String, Arc<AnnotatorProcessor>)>,
     /// The single Data-Enrichment operator, configured with the plan's
-    /// fused repository groups.
+    /// repository groups.
     pub enrichment: Arc<DataEnrichmentProcessor>,
     /// QA operators with their tag-dependency facts, in plan order.
     pub assertions: Vec<BoundAssert>,
-    /// Action operators (with plan-time short-circuit hints installed),
-    /// in plan order.
+    /// Action operators, in plan order.
     pub actions: Vec<(String, Arc<ActionProcessor>)>,
     /// The shared observed-statistics sink every operator above records
     /// into, whether the executor walks them or the enactor runs them as
@@ -57,7 +55,8 @@ pub struct BoundAssert {
 /// the plan marks persistent is created in the catalog. A missing
 /// volatile name gets one fresh memory repository owned by this bind:
 /// every operator of the bind shares it, and it is dropped with them
-/// (paper §4: a cache lives for one process execution).
+/// (paper §4: a cache lives for one process execution). A persistent
+/// store that cannot be opened is a [`QuratorError::Storage`] error.
 pub fn bind(
     plan: &PhysicalPlan,
     iq: &Arc<IqModel>,
@@ -81,7 +80,14 @@ pub fn bind(
             Err(AnnotationError::DuplicateRepository(_)) => catalog.require(name),
             created => created,
         }
-        .map_err(|e| QuratorError::Execution(format!("cannot open repository {name:?}: {e}")))
+        .map_err(|e| {
+            let message = format!("cannot open repository {name:?}: {e}");
+            match e {
+                // the view named a repository no store may hold
+                AnnotationError::InvalidRepositoryName { .. } => QuratorError::Execution(message),
+                _ => QuratorError::Storage(message),
+            }
+        })
     };
 
     let mut annotators = Vec::with_capacity(plan.annotators.len());
@@ -98,17 +104,13 @@ pub fn bind(
         ));
     }
 
-    // The fetch plan is laid out group-contiguously, so the operator's
-    // repository grouping answers each plan group with one bulk lookup.
-    let mut fetches: Vec<(Iri, Arc<AnnotationRepository>)> = Vec::with_capacity(plan.fetch_count());
-    for group in &plan.enrich {
-        let repo = resolve_repo(&group.repository)?;
-        for evidence in &group.evidence {
-            fetches.push((evidence.clone(), repo.clone()));
-        }
-    }
+    let groups = plan
+        .enrich
+        .iter()
+        .map(|group| Ok((resolve_repo(&group.repository)?, group.evidence.clone())))
+        .collect::<Result<Vec<_>>>()?;
     let enrichment =
-        Arc::new(DataEnrichmentProcessor::new(ENRICH_NODE, fetches).with_stats(stats.clone()));
+        Arc::new(DataEnrichmentProcessor::new(ENRICH_NODE, groups).with_stats(stats.clone()));
 
     let mut assertions = Vec::with_capacity(plan.assertions.len());
     for assert in &plan.assertions {
@@ -141,19 +143,16 @@ pub fn bind(
 
     let mut actions = Vec::with_capacity(plan.actions.len());
     for act in &plan.actions {
-        let compiled = match &act.node.kind {
+        let compiled = match &act.kind {
             ActKind::Filter { condition } => {
                 CompiledAction::Filter { condition: condition.clone() }
             }
             ActKind::Split { groups } => CompiledAction::Split { groups: groups.clone() },
         };
-        let hints: Vec<Option<bool>> =
-            act.short_circuit.iter().map(|s| s.map(|v| v == ShortCircuit::AlwaysAccept)).collect();
         actions.push((
-            act.node.name.clone(),
+            act.name.clone(),
             Arc::new(
-                ActionProcessor::new(act.node.name.clone(), compiled, iq.clone())
-                    .with_short_circuit(hints)
+                ActionProcessor::new(act.name.clone(), compiled, iq.clone())
                     .with_stats(stats.clone()),
             ),
         ));
@@ -288,6 +287,7 @@ mod tests {
     use crate::validate::validate;
     use qurator_plan::PlanConfig;
     use qurator_rdf::namespace::q;
+    use qurator_rdf::term::Iri;
     use qurator_services::stdlib::{
         FieldCaptureAnnotator, StatClassifierAssertion, ZScoreAssertion,
     };
@@ -329,16 +329,16 @@ mod tests {
         (iq, registry, catalog)
     }
 
-    /// The satellite regression: a repository listed under several
-    /// evidence IRIs must be answered by ONE grouped bulk access, not one
-    /// per IRI — visible both in the plan (one fused group) and in the
-    /// bound operator (one fetch group with the deduplicated types).
+    /// A repository listed under several evidence IRIs must be answered
+    /// by ONE grouped bulk access, not one per IRI — visible both in the
+    /// plan (one group) and in the bound operator (one fetch group with
+    /// the deduplicated types).
     #[test]
     fn same_repository_under_multiple_iris_binds_to_one_bulk_group() {
         let (iq, registry, catalog) = setup();
         let view = validate(&QualityViewSpec::paper_example(), &iq, &registry).unwrap();
         let plan = planner::physical_plan(&view, &iq, &PlanConfig::default()).unwrap();
-        assert_eq!(plan.enrich.len(), 1, "three cache fetches fuse into one group");
+        assert_eq!(plan.enrich.len(), 1, "three cache fetches group into one access");
 
         let bound = bind(&plan, &iq, &registry, &catalog).unwrap();
         let groups = bound.enrichment.fetch_groups();
@@ -351,15 +351,18 @@ mod tests {
 
     #[test]
     fn unoptimized_plan_still_groups_per_repository_at_bind_time() {
-        // --no-opt keeps one plan group per fetch entry; the operator's
-        // own Arc-identity grouping still answers them with one bulk call
-        // per repository, preserving the pre-plan execution profile.
+        // grouping is a lowering rule, so --no-opt plans one group per
+        // repository too, and the operator runs exactly the plan's groups
         let (iq, registry, catalog) = setup();
         let view = validate(&QualityViewSpec::paper_example(), &iq, &registry).unwrap();
-        let plan = planner::physical_plan(&view, &iq, &PlanConfig { optimize: false }).unwrap();
-        assert_eq!(plan.enrich.len(), 3);
-        let bound = bind(&plan, &iq, &registry, &catalog).unwrap();
-        assert_eq!(bound.enrichment.fetch_groups().len(), 1);
+        for optimize in [true, false] {
+            let plan = planner::physical_plan(&view, &iq, &PlanConfig { optimize }).unwrap();
+            let bound = bind(&plan, &iq, &registry, &catalog).unwrap();
+            let planned: Vec<(String, Vec<Iri>)> =
+                plan.enrich.iter().map(|g| (g.repository.clone(), g.evidence.clone())).collect();
+            assert_eq!(bound.enrichment.fetch_groups(), planned, "optimize: {optimize}");
+            assert_eq!(planned.len(), 1);
+        }
     }
 
     #[test]

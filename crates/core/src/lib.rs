@@ -116,6 +116,9 @@ pub enum QuratorError {
     Compile(String),
     /// Execution failed.
     Execution(String),
+    /// A repository store failed (cannot be opened, read, written or
+    /// flushed): the server's fault, not the view's or the data's.
+    Storage(String),
     /// Semantic validation failed, with the full collect-all diagnostic
     /// list (every error, not just the first; warnings ride along).
     Diagnostics(Vec<qurator_qvlint::Diagnostic>),
@@ -139,6 +142,7 @@ impl std::fmt::Display for QuratorError {
             QuratorError::Validation(m) => write!(f, "quality-view validation error: {m}"),
             QuratorError::Compile(m) => write!(f, "quality-view compilation error: {m}"),
             QuratorError::Execution(m) => write!(f, "quality-view execution error: {m}"),
+            QuratorError::Storage(m) => write!(f, "quality-view storage error: {m}"),
             QuratorError::Diagnostics(diags) => {
                 let errors: Vec<&str> = diags
                     .iter()

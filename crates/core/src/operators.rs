@@ -15,11 +15,13 @@
 use crate::convert;
 use crate::{QuratorError, Result};
 use parking_lot::Mutex;
-use qurator_annotations::{AnnotationMap, AnnotationRepository, EvidenceValue};
+use qurator_annotations::{AnnotationError, AnnotationMap, AnnotationRepository, EvidenceValue};
 use qurator_expr::{Env, Expr, Value};
 use qurator_ontology::IqModel;
 use qurator_rdf::term::{Iri, Term};
-use qurator_services::{AnnotationService, AssertionService, DataSet, VariableBindings};
+use qurator_services::{
+    AnnotationService, AssertionService, DataSet, ServiceError, VariableBindings,
+};
 use qurator_telemetry::stats::{NodeStats, StatsCollector};
 use qurator_telemetry::{Counter, Histogram};
 use qurator_workflow::{Context, Data, Processor, WorkflowError};
@@ -77,10 +79,12 @@ impl AnnotatorProcessor {
     /// returns the number of annotations written.
     pub fn annotate(&self, dataset: &DataSet) -> Result<usize> {
         let started = Instant::now();
-        let written = self
-            .service
-            .annotate(dataset, &self.repository)
-            .map_err(|e| QuratorError::Execution(e.to_string()))?;
+        let written = self.service.annotate(dataset, &self.repository).map_err(|e| match e {
+            ServiceError::Annotation(AnnotationError::Rdf(_)) => {
+                QuratorError::Storage(e.to_string())
+            }
+            _ => QuratorError::Execution(e.to_string()),
+        })?;
         if let Some(stats) = &self.stats {
             stats.record(
                 &self.name,
@@ -128,9 +132,10 @@ impl Processor for AnnotatorProcessor {
 /// The Data-Enrichment operator.
 pub struct DataEnrichmentProcessor {
     name: String,
-    /// evidence type → repository to read it from (the compiler-computed
-    /// association of §6.1).
-    plan: Vec<(Iri, Arc<AnnotationRepository>)>,
+    /// The compiler-computed association of §6.1, grouped by repository:
+    /// each repository with the evidence types read from it, answered by
+    /// one bulk lookup per group.
+    groups: Vec<(Arc<AnnotationRepository>, Vec<Iri>)>,
     /// Fan enrichment out over scoped threads (repository groups × item
     /// chunks). On by default; disable for the E5 sequential ablation.
     parallel: bool,
@@ -142,9 +147,13 @@ pub struct DataEnrichmentProcessor {
 const PARALLEL_CHUNK_MIN: usize = 4096;
 
 impl DataEnrichmentProcessor {
-    /// Builds the operator from its fetch plan.
-    pub fn new(name: impl Into<String>, plan: Vec<(Iri, Arc<AnnotationRepository>)>) -> Self {
-        DataEnrichmentProcessor { name: name.into(), plan, parallel: true, stats: None }
+    /// Builds the operator from its repository groups, run as given and
+    /// merged in order (later groups win conflicting entries).
+    pub fn new(
+        name: impl Into<String>,
+        groups: Vec<(Arc<AnnotationRepository>, Vec<Iri>)>,
+    ) -> Self {
+        DataEnrichmentProcessor { name: name.into(), groups, parallel: true, stats: None }
     }
 
     /// Switches parallel fan-out on or off.
@@ -159,30 +168,13 @@ impl DataEnrichmentProcessor {
         self
     }
 
-    /// The repository groups this operator will answer with one bulk
-    /// lookup each: `(repository name, evidence types)` in first-fetch
-    /// order. Exposed so callers (and regression tests) can verify that a
-    /// repository listed under several evidence IRIs gets one grouped
-    /// `enrich_bulk` call, not one per IRI.
+    /// The repository groups this operator answers with one bulk lookup
+    /// each: `(repository name, evidence types)`, in run order.
     pub fn fetch_groups(&self) -> Vec<(String, Vec<Iri>)> {
-        self.grouped_plan()
-            .into_iter()
-            .map(|(repository, types)| (repository.name().to_string(), types))
+        self.groups
+            .iter()
+            .map(|(repository, types)| (repository.name().to_string(), types.clone()))
             .collect()
-    }
-
-    /// Groups the fetch plan by repository (first-occurrence order), so a
-    /// repository serving several evidence types is scanned once, not once
-    /// per type.
-    fn grouped_plan(&self) -> Vec<(&Arc<AnnotationRepository>, Vec<Iri>)> {
-        let mut groups: Vec<(&Arc<AnnotationRepository>, Vec<Iri>)> = Vec::new();
-        for (evidence_type, repository) in &self.plan {
-            match groups.iter_mut().find(|(r, _)| Arc::ptr_eq(r, repository)) {
-                Some((_, types)) => types.push(evidence_type.clone()),
-                None => groups.push((repository, vec![evidence_type.clone()])),
-            }
-        }
-        groups
     }
 
     /// Runs the enrichment directly (shared with the interpreter path).
@@ -230,15 +222,16 @@ impl DataEnrichmentProcessor {
     }
 
     fn enrich_inner(&self, items: &[Term]) -> Result<AnnotationMap> {
-        let groups = self.grouped_plan();
+        let groups = &self.groups;
+        let bulk = |repository: &AnnotationRepository, chunk: &[Term], types: &[Iri]| {
+            repository.enrich_bulk(chunk, types).map_err(|e| QuratorError::Storage(e.to_string()))
+        };
 
         // A single-repository plan (the common §6.1 outcome) is exactly one
         // bulk call: the returned map is already seeded with the item set,
         // so there is nothing to fan out or merge.
         if let [(repository, types)] = groups.as_slice() {
-            return repository
-                .enrich_bulk(items, types)
-                .map_err(|e| QuratorError::Execution(e.to_string()));
+            return bulk(repository, items, types);
         }
 
         let mut combined = AnnotationMap::for_items(items.iter().cloned());
@@ -253,18 +246,14 @@ impl DataEnrichmentProcessor {
                 .flat_map(|(repository, types)| {
                     items
                         .chunks(chunk_size.max(1))
-                        .map(move |chunk| (*repository, types.as_slice(), chunk))
+                        .map(move |chunk| (repository, types.as_slice(), chunk))
                 })
                 .collect();
             std::thread::scope(|scope| {
                 let handles: Vec<_> = jobs
                     .iter()
                     .map(|(repository, types, chunk)| {
-                        scope.spawn(move || {
-                            repository
-                                .enrich_bulk(chunk, types)
-                                .map_err(|e| QuratorError::Execution(e.to_string()))
-                        })
+                        scope.spawn(move || bulk(repository, chunk, types))
                     })
                     .collect();
                 handles
@@ -277,17 +266,10 @@ impl DataEnrichmentProcessor {
                     .collect()
             })
         } else {
-            groups
-                .iter()
-                .map(|(repository, types)| {
-                    repository
-                        .enrich_bulk(items, types)
-                        .map_err(|e| QuratorError::Execution(e.to_string()))
-                })
-                .collect()
+            groups.iter().map(|(repository, types)| bulk(repository, items, types)).collect()
         };
 
-        // Merge in job order (= plan order, then item order), keeping the
+        // Merge in job order (= group order, then item order), keeping the
         // result byte-identical to a sequential per-pair enrichment.
         for partial in partials {
             combined.merge(&partial?);
@@ -503,12 +485,6 @@ pub struct ActionProcessor {
     /// the *current* source only, preserving edit-between-runs semantics
     /// while avoiding a re-parse per item.
     parse_cache: Mutex<BTreeMap<String, Expr>>,
-    /// Plan-time constant-fold verdicts, index-aligned with the action's
-    /// condition slots (`Some(true)` = always accepts, `Some(false)` =
-    /// always rejects). A hinted slot skips per-item evaluation; the
-    /// outcome is identical because the optimizer only hints conditions
-    /// that reference no variables.
-    short_circuit: Vec<Option<bool>>,
     stats: Option<Arc<StatsCollector>>,
 }
 
@@ -520,16 +496,8 @@ impl ActionProcessor {
             action,
             iq,
             parse_cache: Mutex::new(BTreeMap::new()),
-            short_circuit: Vec::new(),
             stats: None,
         }
-    }
-
-    /// Installs plan-time short-circuit verdicts (one slot per condition;
-    /// `None` slots evaluate normally).
-    pub fn with_short_circuit(mut self, hints: Vec<Option<bool>>) -> Self {
-        self.short_circuit = hints;
-        self
     }
 
     /// Attaches the shared observed-statistics sink.
@@ -564,47 +532,33 @@ impl ActionProcessor {
     /// Runs the action directly (shared with the interpreter path).
     pub fn apply(&self, dataset: &DataSet, map: &AnnotationMap) -> Result<Vec<GroupResult>> {
         let started = Instant::now();
-        // A short-circuited slot needs no parse and no per-item evaluation
-        enum Cond {
-            Eval(Expr),
-            Const(bool),
-        }
-        let slot_cond = |slot: usize, source: &str| -> Result<Cond> {
-            match self.short_circuit.get(slot).copied().flatten() {
-                Some(verdict) => Ok(Cond::Const(verdict)),
-                None => Ok(Cond::Eval(self.condition(source)?)),
-            }
-        };
-        let conditions: Vec<(String, Cond)> = match &self.action {
+        let conditions: Vec<(String, Expr)> = match &self.action {
             CompiledAction::Filter { condition } => {
-                vec![(self.action_name.clone(), slot_cond(0, condition)?)]
+                vec![(self.action_name.clone(), self.condition(condition)?)]
             }
             CompiledAction::Split { groups } => groups
                 .iter()
-                .enumerate()
-                .map(|(slot, (group, condition))| {
-                    Ok((format!("{}/{group}", self.action_name), slot_cond(slot, condition)?))
+                .map(|(group, condition)| {
+                    Ok((format!("{}/{group}", self.action_name), self.condition(condition)?))
                 })
                 .collect::<Result<Vec<_>>>()?,
         };
         let is_split = matches!(self.action, CompiledAction::Split { .. });
 
-        let needs_env = conditions.iter().any(|(_, c)| matches!(c, Cond::Eval(_)));
+        // constant conditions read nothing, so they need no per-item env
+        let needs_env = conditions.iter().any(|(_, expr)| !expr.variables().is_empty());
         let mut memberships: Vec<Vec<Term>> = vec![Vec::new(); conditions.len()];
         let mut default_group: Vec<Term> = Vec::new();
         for item in dataset.items() {
             let env = if needs_env { build_env(&self.iq, map, item) } else { Env::new() };
             let mut matched_any = false;
-            for (slot, (_, cond)) in conditions.iter().enumerate() {
-                let accepted = match cond {
-                    Cond::Const(verdict) => *verdict,
-                    Cond::Eval(expr) => expr.accepts(&env).map_err(|e| {
-                        QuratorError::Execution(format!(
-                            "evaluating action {:?}: {e}",
-                            self.action_name
-                        ))
-                    })?,
-                };
+            for (slot, (_, expr)) in conditions.iter().enumerate() {
+                let accepted = expr.accepts(&env).map_err(|e| {
+                    QuratorError::Execution(format!(
+                        "evaluating action {:?}: {e}",
+                        self.action_name
+                    ))
+                })?;
                 if accepted {
                     memberships[slot].push(item.clone());
                     matched_any = true;
@@ -758,7 +712,7 @@ mod tests {
 
         let de = DataEnrichmentProcessor::new(
             "DataEnrichment",
-            vec![(q::iri("HitRatio"), repo.clone()), (q::iri("MassCoverage"), repo)],
+            vec![(repo, vec![q::iri("HitRatio"), q::iri("MassCoverage")])],
         );
         let out = de.execute(&inputs, &Context::new()).unwrap();
         let map = convert::data_to_map(&out["map"]).unwrap();
@@ -802,9 +756,15 @@ mod tests {
             per_entry.merge(&partial);
         }
 
-        let parallel = DataEnrichmentProcessor::new("de", plan.clone()).enrich(&items).unwrap();
+        // The same entries grouped by repository in first-entry order, as
+        // plan lowering groups them.
+        let groups = vec![
+            (repo_a, vec![q::iri("HitRatio"), q::iri("MassCoverage")]),
+            (repo_b, vec![q::iri("MassCoverage"), q::iri("HitRatio")]),
+        ];
+        let parallel = DataEnrichmentProcessor::new("de", groups.clone()).enrich(&items).unwrap();
         let sequential =
-            DataEnrichmentProcessor::new("de", plan).with_parallel(false).enrich(&items).unwrap();
+            DataEnrichmentProcessor::new("de", groups).with_parallel(false).enrich(&items).unwrap();
 
         assert_eq!(parallel, per_entry);
         assert_eq!(sequential, per_entry);
@@ -902,6 +862,45 @@ mod tests {
         assert_eq!(by_name["triage/strong"].dataset.items(), &[item(1), item(2)]);
         assert_eq!(by_name["triage/reviewable"].dataset.items(), &[item(1), item(2)]);
         assert_eq!(by_name["triage/default"].dataset.items(), &[item(3)]);
+    }
+
+    #[test]
+    fn constant_split_conditions_sort_every_item() {
+        let action = ActionProcessor::new(
+            "triage",
+            CompiledAction::Split {
+                groups: vec![
+                    ("all".into(), "true".into()),
+                    ("none".into(), "1 > 2".into()),
+                    ("some".into(), "HR > 0".into()),
+                ],
+            },
+            iq(),
+        );
+        let ds = sample_dataset();
+        let mut map = AnnotationMap::new();
+        for (i, hr) in [(1u32, 1.0), (2, -1.0), (3, 0.5)] {
+            map.set_tag(&item(i), "HR", hr.into());
+        }
+        let groups = action.apply(&ds, &map).unwrap();
+        let by_name: BTreeMap<&str, &[Term]> =
+            groups.iter().map(|g| (g.name.as_str(), g.dataset.items())).collect();
+        assert_eq!(by_name["triage/all"], &[item(1), item(2), item(3)]);
+        assert!(by_name["triage/none"].is_empty());
+        assert_eq!(by_name["triage/some"], &[item(1), item(3)]);
+        // every item matched `true`, so none falls through to the default
+        assert!(by_name["triage/default"].is_empty());
+
+        // constant conditions alone: no item reaches a true group but
+        // every item reaches the default group
+        let action = ActionProcessor::new(
+            "never",
+            CompiledAction::Split { groups: vec![("none".into(), "1 > 2".into())] },
+            iq(),
+        );
+        let groups = action.apply(&ds, &map).unwrap();
+        assert!(groups[0].dataset.is_empty());
+        assert_eq!(groups[1].dataset.items(), ds.items());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! * [`LogicalPlan`] — the faithful, unoptimized lowering of a validated
 //!   view spec: typed `Annotate` / `Enrich` / `Assert` / `Consolidate` /
 //!   `Act` nodes with resolved evidence and variable signatures;
-//! * [`passes::lower`] — an explicit pass pipeline (dead-node
-//!   elimination, repository-access fusion, cache routing, action
-//!   short-circuiting, wave scheduling) producing a [`PhysicalPlan`];
+//! * [`passes::lower`] — lowering (one Enrich access per repository)
+//!   plus an explicit pass pipeline (dead-node elimination, wave
+//!   scheduling) producing a [`PhysicalPlan`];
 //! * [`render`] — EXPLAIN-style text and JSON renderers;
 //! * [`schema`] — a validator for the JSON rendering (the
 //!   `qv plan-check` gate).
@@ -33,9 +33,7 @@ pub use logical::{
     TagKind, CONSOLIDATE_NODE, ENRICH_NODE,
 };
 pub use passes::{lower, lower_with_profile};
-pub use physical::{
-    EnrichGroup, PassReport, PhysicalAct, PhysicalAssert, PhysicalPlan, PlanConfig, ShortCircuit,
-};
+pub use physical::{EnrichGroup, PassReport, PhysicalAssert, PhysicalPlan, PlanConfig};
 
 /// Errors from plan lowering (a malformed logical plan — e.g. a tag
 /// binding with no producing assertion — that validation should have

@@ -1,16 +1,18 @@
-//! The optimizing pass pipeline: [`lower`] turns a [`LogicalPlan`] into
-//! a [`PhysicalPlan`] through five explicit passes.
+//! Lowering plus the pass pipeline: [`lower`] turns a [`LogicalPlan`]
+//! into a [`PhysicalPlan`].
 //!
-//! | pass                   | effect                                           |
-//! |------------------------|--------------------------------------------------|
-//! | `dead-node-elim`       | drop volatile annotators nobody reads            |
-//! | `enrich-fusion`        | one repository access per repository, not per    |
-//! |                        | evidence type (deduplicated, order-preserving)   |
-//! | `cache-routing`        | mark accesses served by in-view annotations      |
-//! |                        | (read only by EXPLAIN: the executor still reads  |
-//! |                        | the store; acting on it is a ROADMAP.md item)    |
-//! | `action-short-circuit` | constant-fold variable-free action conditions    |
-//! | `wave-schedule`        | antichain schedule for the parallel enactor      |
+//! Lowering itself groups the Enrich node's fetches by repository, in
+//! both modes: one access per repository, its evidence types
+//! deduplicated in first-fetch order, so each repository is read with
+//! one bulk call. Then the passes run:
+//!
+//! | pass             | effect                                            |
+//! |------------------|---------------------------------------------------|
+//! | `dead-node-elim` | drop volatile annotators nobody reads (skipped    |
+//! |                  | under `--no-opt`)                                 |
+//! | `stats-profile`  | install observed cardinalities (only when a       |
+//! |                  | profile is supplied)                              |
+//! | `wave-schedule`  | antichain schedule for the parallel enactor       |
 //!
 //! Every pass is semantics-preserving: an optimized and an unoptimized
 //! plan produce identical action outcomes and decision ledgers (enforced
@@ -25,16 +27,15 @@
 //! histogram, `plan.pass.runs{pass}` counters).
 
 use crate::logical::{Binding, LogicalPlan, CONSOLIDATE_NODE, ENRICH_NODE};
-use crate::physical::{
-    EnrichGroup, PassReport, PhysicalAct, PhysicalAssert, PhysicalPlan, PlanConfig, ShortCircuit,
-};
+use crate::physical::{EnrichGroup, PassReport, PhysicalAssert, PhysicalPlan, PlanConfig};
 use crate::{PlanError, Result};
+use qurator_rdf::term::Iri;
 use qurator_telemetry::stats::StatsProfile;
 use std::time::Instant;
 
-/// Lowers a logical plan to a physical plan, running the optimizing
-/// passes unless `config.optimize` is off (wave scheduling always runs —
-/// it is required output, not an optimization).
+/// Lowers a logical plan to a physical plan, running `dead-node-elim`
+/// unless `config.optimize` is off (wave scheduling always runs — it is
+/// required output, not an optimization).
 pub fn lower(logical: &LogicalPlan, config: &PlanConfig) -> Result<PhysicalPlan> {
     lower_with_profile(logical, config, None)
 }
@@ -42,40 +43,24 @@ pub fn lower(logical: &LogicalPlan, config: &PlanConfig) -> Result<PhysicalPlan>
 /// Like [`lower`], but additionally consults a persisted observed-stats
 /// profile (decayed per-node aggregates from previous runs of the same
 /// view, see [`StatsProfile`]). When a profile is supplied, a
-/// `stats-profile` pass runs after the optimizing passes and installs
-/// the observed output cardinalities on
-/// [`PhysicalPlan::observed_rows`] — the hook through which the cost
-/// model reads real cardinalities instead of guessing. With `None` this
-/// is exactly [`lower`], byte-for-byte.
+/// `stats-profile` pass runs after `dead-node-elim` and installs the
+/// observed output cardinalities on [`PhysicalPlan::observed_rows`] —
+/// the hook through which the cost model reads real cardinalities
+/// instead of guessing. With `None` this is exactly [`lower`],
+/// byte-for-byte.
 pub fn lower_with_profile(
     logical: &LogicalPlan,
     config: &PlanConfig,
     profile: Option<&StatsProfile>,
 ) -> Result<PhysicalPlan> {
-    let enrich = logical.enrich().cloned().unwrap_or_default();
     let mut plan = PhysicalPlan {
         view: logical.view.clone(),
         optimized: config.optimize,
         annotators: logical.annotators().cloned().collect(),
         persistence: logical.repository_persistence(),
-        // unoptimized baseline: one access per fetch entry, in order
-        enrich: enrich
-            .fetches
-            .iter()
-            .map(|(evidence, repository)| EnrichGroup {
-                repository: repository.clone(),
-                evidence: vec![evidence.clone()],
-                cache_local: false,
-            })
-            .collect(),
+        enrich: group_fetches(logical.enrich().map_or(&[], |e| &e.fetches)),
         assertions: resolve_dependencies(logical)?,
-        actions: logical
-            .actions()
-            .map(|node| PhysicalAct {
-                short_circuit: vec![None; node.conditions().len()],
-                node: node.clone(),
-            })
-            .collect(),
+        actions: logical.actions().cloned().collect(),
         waves: Vec::new(),
         passes: Vec::new(),
         observed_rows: Vec::new(),
@@ -83,15 +68,34 @@ pub fn lower_with_profile(
 
     if config.optimize {
         run_pass(&mut plan, "dead-node-elim", dead_node_elim);
-        run_pass(&mut plan, "enrich-fusion", enrich_fusion);
-        run_pass(&mut plan, "cache-routing", cache_routing);
-        run_pass(&mut plan, "action-short-circuit", action_short_circuit);
     }
     if let Some(profile) = profile {
         run_pass(&mut plan, "stats-profile", |plan| stats_profile(plan, profile));
     }
     run_pass(&mut plan, "wave-schedule", wave_schedule);
     Ok(plan)
+}
+
+/// Groups fetches by repository *name* in first-fetch order and
+/// deduplicates evidence types within each group, so a repository
+/// listed under several evidence IRIs is answered by one bulk lookup.
+/// Order preservation keeps merge semantics (later fetches win
+/// conflicts) identical to one read per fetch — validation guarantees
+/// each evidence type appears at most once, so grouping by repository
+/// never reorders a conflicting write.
+fn group_fetches(fetches: &[(Iri, String)]) -> Vec<EnrichGroup> {
+    let mut groups: Vec<EnrichGroup> = Vec::new();
+    for (evidence, repository) in fetches {
+        match groups.iter_mut().find(|g| g.repository == *repository) {
+            Some(group) if group.evidence.contains(evidence) => {}
+            Some(group) => group.evidence.push(evidence.clone()),
+            None => groups.push(EnrichGroup {
+                repository: repository.clone(),
+                evidence: vec![evidence.clone()],
+            }),
+        }
+    }
+    groups
 }
 
 /// Resolves each assertion's tag bindings to the producing assert nodes
@@ -169,93 +173,6 @@ fn dead_node_elim(plan: &mut PhysicalPlan) -> PassOutcome {
     PassOutcome { changed: !notes.is_empty(), notes }
 }
 
-/// enrich-fusion: group accesses by repository *name* in first-fetch
-/// order and deduplicate evidence types within each group, so a
-/// repository listed under several evidence IRIs is answered by one
-/// grouped bulk lookup. Order preservation keeps merge semantics (later
-/// fetches win conflicts) identical to the unfused plan — validation
-/// guarantees each evidence type appears at most once, so regrouping by
-/// repository never reorders a conflicting write.
-fn enrich_fusion(plan: &mut PhysicalPlan) -> PassOutcome {
-    let before = plan.enrich.len();
-    let mut fused: Vec<EnrichGroup> = Vec::new();
-    for access in plan.enrich.drain(..) {
-        match fused.iter_mut().find(|g| g.repository == access.repository) {
-            Some(group) => {
-                for evidence in access.evidence {
-                    if !group.evidence.contains(&evidence) {
-                        group.evidence.push(evidence);
-                    }
-                }
-            }
-            None => fused.push(access),
-        }
-    }
-    let after = fused.len();
-    plan.enrich = fused;
-    PassOutcome {
-        changed: after != before,
-        notes: if before == after {
-            Vec::new()
-        } else {
-            vec![format!("{before} repository access(es) fused into {after} group(s)")]
-        },
-    }
-}
-
-/// cache-routing: an access whose repository is written by a surviving
-/// annotator in this plan is served entirely by annotations computed
-/// earlier in the same execution — the executor can treat it as a local
-/// cache read (and the EXPLAIN output says so).
-fn cache_routing(plan: &mut PhysicalPlan) -> PassOutcome {
-    let mut notes = Vec::new();
-    for group in &mut plan.enrich {
-        let local = plan.annotators.iter().any(|a| a.repository == group.repository);
-        if local && !group.cache_local {
-            group.cache_local = true;
-            notes.push(format!(
-                "repository {:?} is served by in-view annotations",
-                group.repository
-            ));
-        }
-    }
-    PassOutcome { changed: !notes.is_empty(), notes }
-}
-
-/// action-short-circuit: a condition that references no variables has
-/// the same outcome for every item; fold it at plan time so the executor
-/// skips per-item environment construction and evaluation. Conditions
-/// that fail to parse or evaluate are left alone — the executor reports
-/// those errors with full context.
-fn action_short_circuit(plan: &mut PhysicalPlan) -> PassOutcome {
-    let mut notes = Vec::new();
-    let empty = qurator_expr::Env::new();
-    for act in &mut plan.actions {
-        let conditions = act.node.conditions();
-        for (slot, (label, source)) in conditions.iter().enumerate() {
-            let Ok(expr) = qurator_expr::parse(source) else { continue };
-            if !expr.variables().is_empty() {
-                continue;
-            }
-            let Ok(value) = expr.eval(&empty) else { continue };
-            let verdict = if value.as_accepted() {
-                ShortCircuit::AlwaysAccept
-            } else {
-                ShortCircuit::AlwaysReject
-            };
-            act.short_circuit[slot] = Some(verdict);
-            notes.push(format!(
-                "condition {source:?} of {label:?} always {}",
-                match verdict {
-                    ShortCircuit::AlwaysAccept => "accepts",
-                    ShortCircuit::AlwaysReject => "rejects",
-                }
-            ));
-        }
-    }
-    PassOutcome { changed: !notes.is_empty(), notes }
-}
-
 /// stats-profile: copy the decayed observed output cardinalities of
 /// previous runs onto the plan, in process order, for nodes the profile
 /// has seen. Purely informational today (EXPLAIN shows the figures);
@@ -309,7 +226,7 @@ fn wave_schedule(plan: &mut PhysicalPlan) -> PassOutcome {
     }
     waves.push(vec![CONSOLIDATE_NODE.to_string()]);
     if !plan.actions.is_empty() {
-        waves.push(plan.actions.iter().map(|a| a.node.name.clone()).collect());
+        waves.push(plan.actions.iter().map(|a| a.name.clone()).collect());
     }
     plan.waves = waves;
     PassOutcome { changed: true, notes: vec![format!("{} wave(s)", plan.waves.len())] }
@@ -370,18 +287,26 @@ mod tests {
     #[test]
     fn fusion_groups_same_repository_under_one_access() {
         let plan = lower(&base_plan(), &PlanConfig::default()).unwrap();
-        assert_eq!(plan.enrich.len(), 1, "two fetches from one repository fuse: {:?}", plan.enrich);
+        assert_eq!(
+            plan.enrich.len(),
+            1,
+            "two fetches from one repository group: {:?}",
+            plan.enrich
+        );
         assert_eq!(plan.enrich[0].evidence, vec![iri("X"), iri("Y")]);
-        assert!(plan.enrich[0].cache_local, "written by the in-plan annotator");
         assert_eq!(plan.fetch_count(), 2);
     }
 
     #[test]
-    fn no_opt_keeps_one_access_per_fetch() {
+    fn no_opt_groups_like_the_optimized_plan() {
+        let optimized = lower(&base_plan(), &PlanConfig::default()).unwrap();
         let plan = lower(&base_plan(), &PlanConfig { optimize: false }).unwrap();
-        assert_eq!(plan.enrich.len(), 2);
-        assert!(plan.enrich.iter().all(|g| !g.cache_local));
+        assert_eq!(plan.enrich, optimized.enrich, "grouping is lowering, not a pass");
         assert_eq!(plan.passes.iter().map(|p| p.pass).collect::<Vec<_>>(), vec!["wave-schedule"]);
+        assert_eq!(
+            optimized.passes.iter().map(|p| p.pass).collect::<Vec<_>>(),
+            vec!["dead-node-elim", "wave-schedule"]
+        );
     }
 
     #[test]
@@ -417,28 +342,6 @@ mod tests {
         // the unoptimized plan keeps the dead node
         let raw = lower(&logical, &PlanConfig { optimize: false }).unwrap();
         assert_eq!(raw.annotators.len(), 3);
-    }
-
-    #[test]
-    fn constant_conditions_short_circuit() {
-        let mut logical = base_plan();
-        logical.nodes.push(LogicalNode::Act(ActNode {
-            name: "triage".into(),
-            kind: ActKind::Split {
-                groups: vec![
-                    ("all".into(), "true".into()),
-                    ("none".into(), "1 > 2".into()),
-                    ("some".into(), "T1 > 0".into()),
-                ],
-            },
-        }));
-        let plan = lower(&logical, &PlanConfig::default()).unwrap();
-        assert_eq!(plan.actions[1].short_circuit.len(), 3);
-        assert_eq!(plan.actions[1].short_circuit[0], Some(ShortCircuit::AlwaysAccept));
-        assert_eq!(plan.actions[1].short_circuit[1], Some(ShortCircuit::AlwaysReject));
-        assert_eq!(plan.actions[1].short_circuit[2], None);
-        // the variable-bearing filter is untouched
-        assert_eq!(plan.actions[0].short_circuit, vec![None]);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 use crate::logical::{ActNode, AnnotateNode, AssertNode, CONSOLIDATE_NODE, ENRICH_NODE};
 use qurator_rdf::term::Iri;
 
-/// Knobs for the pass pipeline. `optimize: false` lowers the logical
-/// plan as-is (one enrichment access per fetch entry, no dead-node
-/// elimination, no short-circuits) — the `qv plan --no-opt` baseline.
+/// Knobs for the pass pipeline. `optimize: false` skips
+/// `dead-node-elim`, the one pass that changes what runs — the
+/// `qv plan --no-opt` baseline. Enrich grouping is a lowering rule, not
+/// a pass, so both modes read each repository with one bulk call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanConfig {
     pub optimize: bool,
@@ -19,27 +20,14 @@ impl Default for PlanConfig {
     }
 }
 
-/// One fused repository access of the Enrich node: every evidence type
-/// served by `repository`, deduplicated, in first-fetch order. The
-/// executor answers each group with a single bulk lookup.
+/// One repository access of the Enrich node: every evidence type served
+/// by `repository`, deduplicated, in first-fetch order. Lowering builds
+/// one group per repository in both modes, and the executor answers
+/// each group with a single bulk lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnrichGroup {
     pub repository: String,
     pub evidence: Vec<Iri>,
-    /// Set by the cache-routing pass when an in-plan annotator writes
-    /// this repository: the read is served by annotations produced
-    /// moments earlier in the same execution. Only EXPLAIN (the
-    /// renderers and the plan schema) reads the flag; the executor still
-    /// fetches these groups through the repository.
-    pub cache_local: bool,
-}
-
-/// A constant-folded action condition: the pass pipeline proved the
-/// outcome without looking at any item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShortCircuit {
-    AlwaysAccept,
-    AlwaysReject,
 }
 
 /// An Assert node plus its scheduling facts.
@@ -49,14 +37,6 @@ pub struct PhysicalAssert {
     /// Names of earlier Assert nodes whose tags this one consumes
     /// (drives both workflow chaining and wave placement).
     pub depends_on: Vec<String>,
-}
-
-/// An Act node plus per-condition short-circuit verdicts (index-aligned
-/// with [`ActNode::conditions`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhysicalAct {
-    pub node: ActNode,
-    pub short_circuit: Vec<Option<ShortCircuit>>,
 }
 
 /// Provenance of one optimization pass over the plan.
@@ -74,7 +54,7 @@ pub struct PassReport {
 pub struct PhysicalPlan {
     /// View name.
     pub view: String,
-    /// Whether the optimizing passes ran (false under `--no-opt`).
+    /// Whether `dead-node-elim` ran (false under `--no-opt`).
     pub optimized: bool,
     /// Surviving Annotate nodes, in declaration order.
     pub annotators: Vec<AnnotateNode>,
@@ -82,12 +62,12 @@ pub struct PhysicalPlan {
     /// eliminated ones — resolving a repository must not change meaning
     /// because an optimizer dropped its writer).
     pub persistence: Vec<(String, bool)>,
-    /// Fused repository accesses of the single Enrich node.
+    /// Repository accesses of the single Enrich node, one per repository.
     pub enrich: Vec<EnrichGroup>,
     /// Assert nodes with dependency facts, in declaration order.
     pub assertions: Vec<PhysicalAssert>,
-    /// Act nodes with short-circuit verdicts, in declaration order.
-    pub actions: Vec<PhysicalAct>,
+    /// Act nodes, in declaration order.
+    pub actions: Vec<ActNode>,
     /// The wave schedule: antichains of node names in execution order.
     pub waves: Vec<Vec<String>>,
     /// What each pass did, in pipeline order.
@@ -101,8 +81,8 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// Total number of `(evidence, repository)` accesses the Enrich node
-    /// performs (after fusion: one bulk call per group).
+    /// Total number of `(evidence, repository)` pairs the Enrich node
+    /// reads (one bulk call per group).
     pub fn fetch_count(&self) -> usize {
         self.enrich.iter().map(|g| g.evidence.len()).sum()
     }
@@ -120,7 +100,7 @@ impl PhysicalPlan {
         out.push(ENRICH_NODE);
         out.extend(self.assertions.iter().map(|a| a.node.name.as_str()));
         out.push(CONSOLIDATE_NODE);
-        out.extend(self.actions.iter().map(|a| a.node.name.as_str()));
+        out.extend(self.actions.iter().map(|a| a.name.as_str()));
         out
     }
 

@@ -14,7 +14,7 @@
 //! `backend_equivalence`-style tests rely on this.
 
 use crate::logical::{ActKind, Binding, CONSOLIDATE_NODE, ENRICH_NODE};
-use crate::physical::{PhysicalPlan, ShortCircuit};
+use crate::physical::PhysicalPlan;
 use qurator_telemetry::json::escape;
 use qurator_telemetry::stats::RunStats;
 use std::fmt::Write as _;
@@ -56,9 +56,7 @@ pub fn render_text(plan: &PhysicalPlan) -> String {
     }
     for group in &plan.enrich {
         let evidence: Vec<&str> = group.evidence.iter().map(|e| e.local_name()).collect();
-        let source = if group.cache_local { "in-view annotations" } else { "repository" };
-        let _ =
-            writeln!(out, "  Enrich <- {:?} ({source}): {}", group.repository, evidence.join(", "));
+        let _ = writeln!(out, "  Enrich <- {:?}: {}", group.repository, evidence.join(", "));
     }
     for assert in &plan.assertions {
         let _ = writeln!(
@@ -82,18 +80,13 @@ pub fn render_text(plan: &PhysicalPlan) -> String {
     }
     let _ = writeln!(out, "  Consolidate");
     for act in &plan.actions {
-        let kind = match &act.node.kind {
+        let kind = match &act.kind {
             ActKind::Filter { .. } => "filter",
             ActKind::Split { .. } => "split",
         };
-        let _ = writeln!(out, "  Act {:?} ({kind})", act.node.name);
-        for (slot, (label, condition)) in act.node.conditions().iter().enumerate() {
-            let verdict = match act.short_circuit.get(slot).copied().flatten() {
-                Some(ShortCircuit::AlwaysAccept) => " [always accepts]",
-                Some(ShortCircuit::AlwaysReject) => " [always rejects]",
-                None => "",
-            };
-            let _ = writeln!(out, "      {label}: {condition}{verdict}");
+        let _ = writeln!(out, "  Act {:?} ({kind})", act.name);
+        for (label, condition) in act.conditions() {
+            let _ = writeln!(out, "      {label}: {condition}");
         }
     }
     out
@@ -162,9 +155,8 @@ pub fn render_json(plan: &PhysicalPlan) -> String {
             g.evidence.iter().map(|e| format!("\"{}\"", escape(e.as_str()))).collect();
         let _ = write!(
             out,
-            "\n    {{\"repository\": \"{}\", \"cache_local\": {}, \"evidence\": [{}]}}",
+            "\n    {{\"repository\": \"{}\", \"evidence\": [{}]}}",
             escape(&g.repository),
-            g.cache_local,
             evidence.join(", ")
         );
     }
@@ -211,23 +203,16 @@ pub fn render_json(plan: &PhysicalPlan) -> String {
         if i > 0 {
             out.push(',');
         }
-        let kind = match &act.node.kind {
+        let kind = match &act.kind {
             ActKind::Filter { .. } => "filter",
             ActKind::Split { .. } => "split",
         };
         let conditions: Vec<String> = act
-            .node
             .conditions()
             .iter()
-            .enumerate()
-            .map(|(slot, (label, condition))| {
-                let verdict = match act.short_circuit.get(slot).copied().flatten() {
-                    Some(ShortCircuit::AlwaysAccept) => "\"always_accept\"",
-                    Some(ShortCircuit::AlwaysReject) => "\"always_reject\"",
-                    None => "null",
-                };
+            .map(|(label, condition)| {
                 format!(
-                    "{{\"label\": \"{}\", \"condition\": \"{}\", \"short_circuit\": {verdict}}}",
+                    "{{\"label\": \"{}\", \"condition\": \"{}\"}}",
                     escape(label),
                     escape(condition)
                 )
@@ -236,7 +221,7 @@ pub fn render_json(plan: &PhysicalPlan) -> String {
         let _ = write!(
             out,
             "\n    {{\"name\": \"{}\", \"kind\": \"{kind}\", \"conditions\": [{}]}}",
-            escape(&act.node.name),
+            escape(&act.name),
             conditions.join(", ")
         );
     }
@@ -258,7 +243,7 @@ fn analyze_nodes(plan: &PhysicalPlan) -> Vec<(&str, &'static str)> {
     }
     out.push((CONSOLIDATE_NODE, "consolidate"));
     for a in &plan.actions {
-        out.push((a.node.name.as_str(), "act"));
+        out.push((a.name.as_str(), "act"));
     }
     out
 }
@@ -395,9 +380,9 @@ mod tests {
     fn text_is_duration_free_and_complete() {
         let text = render_text(&sample());
         assert!(text.contains("plan for view \"sample\" (optimized)"));
-        assert!(text.contains("enrich-fusion"));
+        assert!(text.contains("dead-node-elim"));
         assert!(text.contains("wave 0: ann"));
-        assert!(text.contains("Enrich <- \"cache\" (in-view annotations): HitRatio"));
+        assert!(text.contains("Enrich <- \"cache\": HitRatio"));
         assert!(text.contains("keep: HR > 0"));
         assert!(!text.contains("duration"), "text rendering must stay deterministic");
         assert!(!text.contains("_us"));

@@ -58,7 +58,6 @@ pub fn validate_plan_json(text: &str) -> Result<usize, String> {
     }
     for (i, g) in require_array(&doc, "enrich")?.iter().enumerate() {
         require_str(g, "repository").map_err(|e| format!("enrich[{i}]: {e}"))?;
-        require_bool(g, "cache_local").map_err(|e| format!("enrich[{i}]: {e}"))?;
         let evidence = require_array(g, "evidence").map_err(|e| format!("enrich[{i}]: {e}"))?;
         if evidence.is_empty() {
             return Err(format!("enrich[{i}]: evidence must not be empty"));
@@ -104,16 +103,6 @@ pub fn validate_plan_json(text: &str) -> Result<usize, String> {
         for (j, c) in conditions.iter().enumerate() {
             require_str(c, "label").map_err(|e| format!("act[{i}].conditions[{j}]: {e}"))?;
             require_str(c, "condition").map_err(|e| format!("act[{i}].conditions[{j}]: {e}"))?;
-            let verdict = c
-                .get("short_circuit")
-                .ok_or(format!("act[{i}].conditions[{j}]: missing short_circuit"))?;
-            let ok = verdict.is_null()
-                || matches!(verdict.as_str(), Some("always_accept") | Some("always_reject"));
-            if !ok {
-                return Err(format!(
-                    "act[{i}].conditions[{j}]: short_circuit must be null, \"always_accept\" or \"always_reject\""
-                ));
-            }
         }
         nodes += 1;
     }
@@ -202,7 +191,6 @@ mod tests {
             ("\"optimized\": true", "\"optimized\": \"yes\""),
             ("\"tag_kind\": \"score\"", "\"tag_kind\": \"scored\""),
             ("\"kind\": \"filter\"", "\"kind\": \"filters\""),
-            ("\"short_circuit\": null", "\"short_circuit\": true"),
             ("\"waves\": [", "\"tides\": ["),
         ] {
             let bad = good.replace(needle, replacement);

@@ -235,6 +235,17 @@ impl SpanRecorder {
         }
     }
 
+    /// Like [`SpanRecorder::end_open`], but leaves `keep` open, so a root
+    /// can record more children after the spans a failure abandoned.
+    pub fn end_open_except(&mut self, keep: SpanId) {
+        let now = self.session.now_ns();
+        for span in self.spans.iter_mut() {
+            if span.end_ns.is_none() && span.id != keep {
+                span.end_ns = Some(now);
+            }
+        }
+    }
+
     /// Number of spans recorded so far.
     pub fn len(&self) -> usize {
         self.spans.len()
@@ -541,10 +552,16 @@ mod tests {
         let root = rec.start("view:v", SpanKind::View, None);
         let phase = rec.start("phase:enrichment", SpanKind::Phase, Some(root));
         let _ = phase; // simulated failure: neither span is ended explicitly
+        rec.end_open_except(root);
+        let cleanup = rec.start("phase:release", SpanKind::Phase, Some(root));
+        rec.end(cleanup);
         rec.end_open();
         let trace = SpanTrace::from_spans(rec.finish());
         trace.validate().unwrap();
         assert!(trace.spans().iter().all(|s| s.end_ns.is_some()));
+        let end = |id| trace.span(id).unwrap().end_ns.unwrap();
+        assert!(end(phase) <= trace.span(cleanup).unwrap().start_ns, "closed before the cleanup");
+        assert!(end(root) >= end(cleanup));
     }
 
     #[test]

@@ -68,6 +68,9 @@ fn class_clause(mask: u8) -> String {
 struct Shape {
     use_score2: bool,
     use_classifier: bool,
+    /// A second annotator writing a volatile `scratch` repository no
+    /// assertion reads: the shape `dead-node-elim` removes.
+    dead_writer: bool,
 }
 
 /// Builds a coherent view for the chosen shape: the annotator provides
@@ -121,15 +124,25 @@ fn build_view(shape: &Shape, conditions: Vec<String>, split: bool) -> QualityVie
     } else {
         ActionKind::Filter { condition: conditions.join(" and ") }
     };
+    let mut annotators = vec![AnnotatorDecl {
+        service_name: "imprint".into(),
+        service_type: "q:ImprintOutputAnnotation".into(),
+        repository_ref: "cache".into(),
+        persistent: false,
+        variables: evidence,
+    }];
+    if shape.dead_writer {
+        annotators.push(AnnotatorDecl {
+            service_name: "scratch-writer".into(),
+            service_type: "q:ImprintOutputAnnotation".into(),
+            repository_ref: "scratch".into(),
+            persistent: false,
+            variables: vec![VarDecl::evidence("q:HitRatio")],
+        });
+    }
     QualityViewSpec {
         name: "generated".into(),
-        annotators: vec![AnnotatorDecl {
-            service_name: "imprint".into(),
-            service_type: "q:ImprintOutputAnnotation".into(),
-            repository_ref: "cache".into(),
-            persistent: false,
-            variables: evidence,
-        }],
+        annotators,
         assertions,
         actions: vec![ActionDecl { name: "act".into(), kind }],
     }
@@ -148,7 +161,7 @@ proptest! {
         thresholds in proptest::array::uniform3(-20i8..20),
         label_mask in 0u8..8,
     ) {
-        let shape = Shape { use_score2, use_classifier };
+        let shape = Shape { use_score2, use_classifier, dead_writer: false };
         let mut conditions = vec![numeric_clause("HR", ops[0], thresholds[0])];
         if shape.use_score2 {
             conditions.push(numeric_clause("HR_MC", ops[1], thresholds[1]));
@@ -265,17 +278,19 @@ proptest! {
     /// wave-parallel enactor. All three agree on the [`ActionOutcome`]
     /// (groups, members, maps); the two interpreter runs also agree on
     /// the per-item `why(item)` decision ledgers, evidence sources
-    /// included.
+    /// included. `dead_writer` views give `dead-node-elim` an annotator
+    /// to remove, so the optimized plan really differs from the baseline.
     #[test]
     fn optimized_baseline_and_compiled_executions_agree(
         use_score2 in any::<bool>(),
         use_classifier in any::<bool>(),
         split in any::<bool>(),
+        dead_writer in any::<bool>(),
         ops in proptest::array::uniform3(0u8..4),
         thresholds in proptest::array::uniform3(-20i8..20),
         label_mask in 0u8..8,
     ) {
-        let shape = Shape { use_score2, use_classifier };
+        let shape = Shape { use_score2, use_classifier, dead_writer };
         let mut conditions = vec![numeric_clause("HR", ops[0], thresholds[0])];
         if shape.use_score2 {
             conditions.push(numeric_clause("HR_MC", ops[1], thresholds[1]));
@@ -292,6 +307,10 @@ proptest! {
 
         let optimize = qurator_plan::PlanConfig { optimize: true };
         let baseline = qurator_plan::PlanConfig { optimize: false };
+        let planner = engine();
+        let eliminated = planner.plan_with(&spec, &baseline).expect("plans").annotators.len()
+            - planner.plan_with(&spec, &optimize).expect("plans").annotators.len();
+        prop_assert_eq!(eliminated, usize::from(dead_writer), "dead-node-elim removes the dead writer");
 
         // interpreter, optimized plan vs --no-opt baseline: everything
         // must match, including evidence sources

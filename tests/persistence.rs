@@ -124,7 +124,7 @@ fn concurrent_views_share_one_persistent_repository() {
 }
 
 #[test]
-fn unopenable_persistent_repository_is_an_execution_error() {
+fn unopenable_persistent_repository_is_a_storage_error() {
     // a regular file where the archive's store directory belongs
     let root = qurator_rdf::storage::test_support::TempDir::new("unopenable");
     std::fs::write(root.join("archive"), "not a store").expect("write");
@@ -135,10 +135,10 @@ fn unopenable_persistent_repository_is_an_execution_error() {
             .expect("parses");
     let hits = DataSet::from_items((0..3).map(item));
     match engine.execute_view(&spec, &hits) {
-        Err(QuratorError::Execution(message)) => {
+        Err(QuratorError::Storage(message)) => {
             assert!(message.contains("\"archive\""), "{message}");
         }
-        other => panic!("expected an execution error, got {other:?}"),
+        other => panic!("expected a storage error, got {other:?}"),
     }
     assert!(engine.catalog().get("archive").is_none());
 }
