@@ -7,8 +7,8 @@
 //!
 //! 1. `baseline` — stats off, ledger off, no retainer, drift off;
 //! 2. `+ stats` — the per-node `NodeStats` counters (`qv run`'s default);
-//! 3. `+ ledger` — per-item decision provenance into a ledger bounded at
-//!    `qv serve`'s capacity;
+//! 3. `+ ledger` — per-run decision capture under `qv serve`'s item
+//!    budget;
 //! 4. `+ retainer + drift` — tail-sampled trace retention and the drift
 //!    monitor, at the default `TelemetryConfig`;
 //! 5. `+ correlation` — a caller-minted `RunId` and one access-log
@@ -43,7 +43,7 @@ use qurator_telemetry::{AccessLog, AccessRecord, RunId, TelemetryConfig};
 
 const ROUNDS: usize = 21;
 const ITEMS_PER_SAMPLE: usize = 3_200;
-/// Mirrors `SERVE_LEDGER_CAPACITY` in `qv serve`.
+/// Mirrors `SERVE_LEDGER_CAPACITY` in `qv serve`: the ledger's item budget.
 const LEDGER_CAPACITY: usize = 8192;
 /// Mirrors the default `--access-log` ring capacity of `qv serve`.
 const ACCESS_LOG_CAPACITY: usize = 1024;
@@ -180,8 +180,8 @@ fn main() {
     for step in &steps[3..] {
         assert_eq!(
             step.engine.ledger().len(),
-            rows.min(LEDGER_CAPACITY),
-            "{}: the ledger covers every item within its capacity",
+            rows,
+            "{}: the newest run keeps every item's decisions",
             step.name
         );
     }
@@ -236,7 +236,7 @@ fn main() {
         "ledger step, phase:provenance share of the run: {share_med:.2}% (q1 {share_q1:.2}%, q3 {share_q3:.2}%)"
     );
     println!(
-        "ledger: {} item(s) (capacity {LEDGER_CAPACITY}) | retainer: {} of {} trace(s) resident | access log: {} record(s)",
+        "ledger: {} item(s) (budget {LEDGER_CAPACITY}) | retainer: {} of {} trace(s) resident | access log: {} record(s)",
         steps[5].engine.ledger().len(),
         retainers[1].resident(),
         retainers[1].capacity(),

@@ -314,6 +314,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(dir) = flag_value(args, "--store") {
         engine.set_store_root(dir).map_err(|e| e.to_string())?;
     }
+    // `--explain` reads the run's consolidated map back from its record
+    engine.set_provenance_enabled(explain);
     // lowered before the run: any `planned ~N rows` annotations come from
     // the profile a *previous* run persisted, not from this execution
     let plan = analyze
@@ -362,6 +364,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     if explain {
         println!("\n== per-item explanations ==");
+        // the run's record holds the consolidated map its actions saw,
+        // rejected rows included
+        let map = engine.ledger().annotation_map(run).ok_or("the run kept no decisions")?;
         let requested = flag_value(args, "--group");
         for action in &spec.actions {
             if let Some(name) = requested {
@@ -377,16 +382,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                     qurator::operators::CompiledAction::Split { groups: groups.clone() }
                 }
             };
-            // rebuild the consolidated map by re-running up to the actions
-            let view = engine.validate(&spec).map_err(|e| e.to_string())?;
             let processor = qurator::operators::ActionProcessor::new(
                 action.name.clone(),
                 compiled,
                 engine.iq().clone(),
             );
-            // the outcome's groups do not retain rejected rows, so
-            // recompute the full consolidated map with a pass-through probe
-            let map = rebuild_map(&engine, &view, &dataset)?;
             for explanation in processor.explain(&dataset, &map).map_err(|e| e.to_string())? {
                 let outcomes: Vec<String> = explanation
                     .outcomes
@@ -806,23 +806,6 @@ fn cmd_telemetry_check(args: &[String]) -> Result<(), String> {
         println!("{path}: ok ({nodes} profiled node(s))");
     }
     Ok(())
-}
-
-/// Re-runs annotation + enrichment + assertions to obtain the consolidated
-/// map the actions saw (for explanations).
-fn rebuild_map(
-    engine: &QualityEngine,
-    view: &qurator::validate::ValidatedView,
-    dataset: &DataSet,
-) -> Result<AnnotationMap, String> {
-    // run the interpreter with a pass-through action to capture the map
-    let mut probe = view.spec.clone();
-    probe.actions = vec![qurator::spec::ActionDecl {
-        name: "__all__".into(),
-        kind: qurator::spec::ActionKind::Filter { condition: "true".into() },
-    }];
-    let outcome = engine.execute_view(&probe, dataset).map_err(|e| e.to_string())?;
-    Ok(outcome.groups[0].map.clone())
 }
 
 fn cmd_library(args: &[String]) -> Result<(), String> {

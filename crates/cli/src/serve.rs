@@ -28,11 +28,11 @@
 //! Every `POST /run/<view>` mints a [`RunId`] before the engine runs and
 //! echoes it in the `X-QV-Run-Id` response header (and the JSON body).
 //! The same id is stamped on the root span of the execution trace, the
-//! retained-trace metadata, every decision-ledger record the run wrote,
-//! any drift threshold-crossing the run tripped, and the run's observed
-//! plan-node stats in the engine's bounded stats ring — so
-//! `GET /runs/<id>` can reassemble the whole story of one request after
-//! the fact, and an access-log line is enough to start the chase.
+//! retained-trace metadata, the run's record in the engine's run ring
+//! (its observed plan-node stats and its decisions), and any drift
+//! threshold-crossing the run tripped — so `GET /runs/<id>` can
+//! reassemble the whole story of one request after the fact, and an
+//! access-log line is enough to start the chase.
 //!
 //! ## Concurrency model
 //!
@@ -139,9 +139,9 @@ impl Default for ServeOptions {
     }
 }
 
-/// How many per-item decision traces the serving ledger retains before
-/// evicting oldest-first (a long-lived server must not grow without
-/// bound as submissions stream in).
+/// The serving ledger's item budget: past it the oldest runs lose their
+/// decisions (but keep their stats), so a long-lived server does not
+/// grow without bound as submissions stream in.
 const SERVE_LEDGER_CAPACITY: usize = 8192;
 
 /// Everything a request handler needs: the engine, its trace retainer,
@@ -159,7 +159,7 @@ impl ServeState {
     /// continuous observability (bounded trace retention + drift
     /// monitoring) per `config`. Decision provenance is always on while
     /// serving — `GET /runs/<id>` correlates through the ledger — but
-    /// bounded to [`SERVE_LEDGER_CAPACITY`] items. Fails only when the
+    /// bounded to a budget of [`SERVE_LEDGER_CAPACITY`] items. Fails only when the
     /// `--access-log` sink cannot be opened.
     pub fn new(
         engine: QualityEngine,
@@ -376,11 +376,11 @@ fn route_inner(
 }
 
 /// `GET /runs/<id>`: the correlation bundle for one run — the retained
-/// span trace (when the sampler kept it), the decision-ledger slice the
-/// run wrote, any ledger events (drift crossings) it tripped, and the
-/// run's observed plan-node statistics (`"stats"`, the EXPLAIN ANALYZE
-/// counters — the bundle's one per-node section). 404 only when
-/// *nothing* references the id.
+/// span trace (when the sampler kept it), the run's decision traces
+/// (built from its record while the item budget keeps them), any ledger
+/// events (drift crossings) it tripped, and the run's observed plan-node
+/// statistics (`"stats"`, the EXPLAIN ANALYZE counters — the bundle's
+/// one per-node section). 404 only when *nothing* references the id.
 fn run_bundle(state: &ServeState, id: &str) -> Response {
     let Some(run) = RunId::parse(id) else {
         return Response::error(400, &format!("run id {id:?} is not 16 hex chars"));
@@ -1252,9 +1252,11 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert!(value.get("profile").is_none(), "{}", bundle.body);
     }
 
-    /// Regression: a run whose trace the sampler dropped and whose
-    /// ledger records a later run of the same ids replaced is still
-    /// referenced by its stats, so `/runs/<id>` answers 200.
+    /// Regression: a run whose trace the sampler dropped still resolves
+    /// at `/runs/<id>`, and a later run of the same ids leaves it its own
+    /// decisions (the core test
+    /// `budget_evicted_decisions_leave_a_run_its_stats` covers a run held
+    /// through its stats alone).
     #[test]
     fn runs_resolve_through_held_stats_alone() {
         let engine = QualityEngine::with_proteomics_defaults().unwrap();
@@ -1271,9 +1273,28 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert_eq!(bundle.status, 200, "{}", bundle.body);
         let value = json::parse(&bundle.body).unwrap();
         assert!(matches!(value.get("trace"), Some(json::Value::Null)), "{}", bundle.body);
-        assert_eq!(value.get("ledger").and_then(|v| v.as_array()).map(|l| l.len()), Some(0));
+        assert_eq!(value.get("ledger").and_then(|v| v.as_array()).map(|l| l.len()), Some(2));
         let stats = value.get("stats").expect("stats section");
         assert_eq!(stats.get("run_id").and_then(|v| v.as_str()), Some(first.to_string().as_str()));
+    }
+
+    /// Re-posting the same body leaves the first run's bundle with its
+    /// own decisions: one trace per item, each stamped with its run.
+    #[test]
+    fn a_reposted_run_keeps_its_own_ledger() {
+        let state = state();
+        let first = route(&state, "POST", "/run/serve-test", DATA).run_id.expect("first run id");
+        let second = route(&state, "POST", "/run/serve-test", DATA).run_id.expect("second run id");
+        for run in [first, second] {
+            let bundle = route(&state, "GET", &format!("/runs/{run}"), "");
+            assert_eq!(bundle.status, 200, "{}", bundle.body);
+            let value = json::parse(&bundle.body).unwrap();
+            let ledger = value.get("ledger").and_then(|v| v.as_array()).unwrap();
+            assert_eq!(ledger.len(), 2, "one trace per item: {}", bundle.body);
+            assert!(ledger.iter().all(|t| {
+                t.get("run_id").and_then(|v| v.as_str()) == Some(run.to_string().as_str())
+            }));
+        }
     }
 
     /// Satellite regression: a scanner probing arbitrary paths must not

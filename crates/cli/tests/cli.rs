@@ -89,6 +89,92 @@ fn run_filters_and_explains() {
     assert!(stdout.contains("keep:reject"));
 }
 
+/// A path under the repository root.
+fn repo_path(path: &str) -> String {
+    format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The provenance renderings are pinned byte for byte (see
+/// `tests/provenance_golden.rs` for the trace JSON of the same runs).
+#[test]
+fn provenance_renderings_match_their_snapshots() {
+    let golden = |name: &str| {
+        std::fs::read_to_string(repo_path(&format!("tests/provenance_golden/{name}"))).unwrap()
+    };
+    let (ok, stdout, stderr) = qv(&[
+        "explain",
+        &repo_path("samples/paper_view.xml"),
+        "--data",
+        &repo_path("samples/hits.tsv"),
+        "--item",
+        "P30089",
+        "--spans",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(stdout, golden("paper_view.explain.spans.txt"));
+
+    let (ok, stdout, stderr) = qv(&[
+        "run",
+        &repo_path("samples/splitter_view.xml"),
+        "--data",
+        &repo_path("samples/hits.tsv"),
+        "--explain",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let without_run_id: String =
+        stdout.lines().filter(|l| !l.starts_with("run id: ")).map(|l| format!("{l}\n")).collect();
+    assert_eq!(without_run_id, golden("splitter_view.run.explain.txt"));
+}
+
+/// `qv run --explain` explains the run it made: the view runs once, so
+/// the store and the persisted stats profile match a plain `qv run`.
+#[test]
+fn run_explain_runs_the_view_once() {
+    let root = std::env::temp_dir().join(format!("qv-cli-explain-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut sizes = Vec::new();
+    for (dir, explain) in [("plain", false), ("explain", true)] {
+        let store = root.join(dir);
+        let mut args = vec![
+            "run".to_string(),
+            repo_path("samples/persistent_archive.xml"),
+            "--data".into(),
+            repo_path("samples/hits.tsv"),
+            "--store".into(),
+            store.to_str().unwrap().into(),
+        ];
+        if explain {
+            args.push("--explain".into());
+        }
+        let (ok, stdout, stderr) = qv(&args.iter().map(String::as_str).collect::<Vec<_>>());
+        assert!(ok, "stderr: {stderr}");
+        assert_eq!(stdout.contains("== per-item explanations =="), explain);
+        let size = |file: &str| std::fs::metadata(store.join("archive").join(file)).unwrap().len();
+        sizes.push((size("wal.log"), size("dict.seg")));
+        let profile =
+            std::fs::read_to_string(store.join("stats/archived-hit-quality.json")).unwrap();
+        assert!(profile.contains("\"runs\":1"), "{profile}");
+        assert!(!profile.contains("__all__"), "{profile}");
+    }
+    assert_eq!(sizes[0], sizes[1], "(wal.log, dict.seg) bytes without and with --explain");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A persistent repository name no store may hold is reported at its
+/// attribute, as QV027, instead of as a failed compilation.
+#[test]
+fn check_reports_an_escaping_repository_name_at_its_attribute() {
+    let xml = std::fs::read_to_string(repo_path("samples/persistent_archive.xml"))
+        .unwrap()
+        .replace("repositoryRef=\"archive\"", "repositoryRef=\"../escaped\"");
+    let view = write_temp("escaped.xml", &xml);
+    let (ok, stdout, _) = qv(&["check", view.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stdout.contains("error[QV027]"), "{stdout}");
+    assert!(stdout.contains("escaped.xml:4:31"), "{stdout}");
+    assert!(!stdout.contains("WF005"), "{stdout}");
+}
+
 #[test]
 fn fmt_is_canonical() {
     let view = write_temp("good4.xml", VIEW);

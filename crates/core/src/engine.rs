@@ -4,10 +4,14 @@
 //! [`QualityEngine::execute_view`] interprets the abstract quality process
 //! in-process (the "rapid prototyping" loop the paper motivates — edit
 //! conditions, re-run, observe): validate, plan, bind, then walk the bound
-//! plan node by node, recording spans, observed stats and decision
-//! provenance in-line. `execute_view_with` selects a
-//! [`qurator_plan::PlanConfig`] (the unoptimized baseline) and
-//! `execute_view_run` takes a caller-minted [`RunId`].
+//! plan node by node, recording spans and observed stats in-line. Each
+//! run leaves one record in the engine's run ring ([`crate::runs`]): its
+//! stats and, with provenance on, a columnar capture of its
+//! consolidated map and groups, from which [`QualityEngine::why`] and
+//! [`QualityEngine::ledger`] build decision traces when asked.
+//! `execute_view_with` selects a [`qurator_plan::PlanConfig`] (the
+//! unoptimized baseline) and `execute_view_run` takes a caller-minted
+//! [`RunId`].
 //!
 //! [`QualityEngine::compile`] lowers the same plan into a workflow — the
 //! paper's §6 deployment artifact for embedding into host workflows
@@ -17,32 +21,28 @@
 
 use crate::compile;
 use crate::operators::GroupResult;
+use crate::runs::{Decisions, RunLedger, RunRecord};
 use crate::spec::QualityViewSpec;
 use crate::validate::{self, ValidatedView};
 use crate::{exec, planner, QuratorError, Result};
 use parking_lot::RwLock;
-use qurator_annotations::catalog::STATS_DIR;
+use qurator_annotations::catalog::{check_repository_name, STATS_DIR};
 use qurator_annotations::RepositoryCatalog;
 use qurator_ontology::binding::BindingRegistry;
 use qurator_ontology::IqModel;
 use qurator_plan::{ActKind, LogicalPlan, PhysicalPlan, PlanConfig};
 use qurator_rdf::namespace::q;
-use qurator_rdf::term::Term;
 use qurator_services::stdlib::{FieldCaptureAnnotator, StatClassifierAssertion, ZScoreAssertion};
 use qurator_services::{AnnotationService, AssertionService, DataSet, ServiceRegistry};
 use qurator_telemetry::span::{SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession};
 use qurator_telemetry::stats::{profile_file_name, view_key, RunStats, StatsProfile};
 use qurator_telemetry::{
-    ActionRecord, AssertionRecord, DecisionLedger, DecisionTrace, EvidenceRecord, LedgerEvent,
-    LedgerValue, RunId, TelemetryConfig, TraceMeta, TraceRetainer,
+    DecisionTrace, LedgerEvent, RunId, TelemetryConfig, TraceMeta, TraceRetainer,
 };
 use qurator_workflow::Workflow;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// How many recent per-run stats the engine keeps for `/runs/<id>` joins.
-const RUN_STATS_CAPACITY: usize = 256;
 
 /// The result of executing a quality view over a data set: one group per
 /// action output (a single group for filters; per-group + default for
@@ -84,7 +84,8 @@ pub struct QualityEngine {
     registry: Arc<ServiceRegistry>,
     catalog: Arc<RepositoryCatalog>,
     bindings: RwLock<BindingRegistry>,
-    ledger: Arc<DecisionLedger>,
+    /// The ring of run records behind run stats and decision provenance.
+    ledger: RunLedger,
     last_trace: RwLock<Option<SpanTrace>>,
     /// Continuous-observability retention (None until
     /// [`QualityEngine::enable_observability`]).
@@ -94,9 +95,6 @@ pub struct QualityEngine {
     /// Observed-statistics collection switch (on by default; the
     /// paired-delta bench flips it off to price collection itself).
     stats_enabled: AtomicBool,
-    /// Recent per-run observed statistics, newest last (bounded ring for
-    /// `/runs/<id>` correlation joins).
-    run_stats: RwLock<VecDeque<RunStats>>,
     /// Per-view decayed stats profiles, persisted under
     /// `<store root>/stats/` when a store root is set.
     stats_profiles: RwLock<BTreeMap<String, StatsProfile>>,
@@ -110,12 +108,11 @@ impl QualityEngine {
             catalog: Arc::new(RepositoryCatalog::new(iq.clone())),
             registry: Arc::new(ServiceRegistry::new()),
             bindings: RwLock::new(BindingRegistry::new()),
-            ledger: Arc::new(DecisionLedger::new()),
+            ledger: RunLedger::default(),
             last_trace: RwLock::new(None),
             retainer: RwLock::new(None),
             drift_cursor: RwLock::new(None),
             stats_enabled: AtomicBool::new(true),
-            run_stats: RwLock::new(VecDeque::new()),
             stats_profiles: RwLock::new(BTreeMap::new()),
             iq,
         }
@@ -195,12 +192,12 @@ impl QualityEngine {
 
     /// Observed statistics of the most recent run, if any were recorded.
     pub fn last_run_stats(&self) -> Option<RunStats> {
-        self.run_stats.read().back().cloned()
+        self.ledger.last_stats()
     }
 
     /// Observed statistics of a specific run still in the bounded ring.
     pub fn run_stats(&self, run: RunId) -> Option<RunStats> {
-        self.run_stats.read().iter().rev().find(|s| s.run_id == Some(run)).cloned()
+        self.ledger.stats(run)
     }
 
     /// The decayed stats profile of a view: the in-memory aggregate when
@@ -228,42 +225,40 @@ impl QualityEngine {
         Ok(written)
     }
 
-    /// Folds one run's drained statistics into the ring and the view's
-    /// decayed profile (persisting the profile when a store root is set).
-    fn note_run_stats(&self, stats: RunStats) {
-        if stats.nodes.is_empty() {
-            return;
-        }
-        {
+    /// Records a finished run: folds its stats into the view's decayed
+    /// profile (persisting the profile when a store root is set), then
+    /// pushes the run's record onto the ring. A run whose node set
+    /// differs from the held profile's (an edited view) starts a fresh
+    /// profile under its new key.
+    fn note_run(&self, run: RunId, stats: RunStats, decisions: Option<Decisions>) {
+        let stats = (!stats.nodes.is_empty()).then_some(stats);
+        if let Some(stats) = &stats {
+            let key = view_key(&stats.view, stats.nodes.keys().map(|s| s.as_str()));
+            let path = self
+                .catalog
+                .store_root()
+                .map(|root| root.join(STATS_DIR).join(profile_file_name(&stats.view)));
             let mut profiles = self.stats_profiles.write();
             let profile = profiles.entry(stats.view.clone()).or_insert_with(|| {
-                let key = view_key(&stats.view, stats.nodes.keys().map(|s| s.as_str()));
                 // continue a persisted profile's decay across restarts
-                // (but only when the node set still matches — an edited
-                // view starts a fresh profile under its new key)
-                self.catalog
-                    .store_root()
-                    .and_then(|root| {
-                        StatsProfile::load(
-                            &root.join(STATS_DIR).join(profile_file_name(&stats.view)),
-                        )
-                        .ok()
-                    })
+                path.as_ref()
+                    .and_then(|path| StatsProfile::load(path).ok())
                     .filter(|persisted| persisted.key == key)
                     .unwrap_or_else(|| StatsProfile::new(stats.view.clone(), key))
             });
-            profile.observe(&stats);
-            if let Some(root) = self.catalog.store_root() {
+            if profile.key != key {
+                *profile = StatsProfile::new(stats.view.clone(), key);
+            }
+            profile.observe(stats);
+            if let Some(path) = path {
                 // best-effort persistence: a read-only store directory
                 // must not fail the run itself
-                let _ = profile.save(&root.join(STATS_DIR).join(profile_file_name(&stats.view)));
+                let _ = profile.save(&path);
             }
         }
-        let mut ring = self.run_stats.write();
-        if ring.len() >= RUN_STATS_CAPACITY {
-            ring.pop_front();
+        if stats.is_some() || decisions.is_some() {
+            self.ledger.push(RunRecord { run_id: run, stats, decisions: decisions.map(Arc::new) });
         }
-        ring.push_back(stats);
     }
 
     /// Projects the repository catalog to the facts the static analyzer
@@ -291,10 +286,11 @@ impl QualityEngine {
         self.bindings.read().iter().collect()
     }
 
-    /// The per-item decision-provenance ledger. Disabled by default;
-    /// enable with [`QualityEngine::set_provenance_enabled`] before an
-    /// execution to capture evidence/assertion/action records.
-    pub fn ledger(&self) -> &Arc<DecisionLedger> {
+    /// The run ledger: the ring of recent run records that run stats and
+    /// decision provenance are read from. Decision capture is off by
+    /// default; enable it with [`QualityEngine::set_provenance_enabled`]
+    /// before an execution.
+    pub fn ledger(&self) -> &RunLedger {
         &self.ledger
     }
 
@@ -303,9 +299,9 @@ impl QualityEngine {
         self.ledger.set_enabled(enabled);
     }
 
-    /// The full decision trace for an item (exact id match), if the
-    /// ledger recorded one: evidence fetched, quality tags assigned,
-    /// actions taken.
+    /// The full decision trace for an item (exact id match) from the
+    /// newest retained run that traced it: evidence fetched, quality tags
+    /// assigned, actions taken.
     pub fn why(&self, item: &str) -> Option<DecisionTrace> {
         self.ledger.why(item)
     }
@@ -498,6 +494,20 @@ impl QualityEngine {
                     }
                 }
             }
+            // a persistent repository is opened by name, so its name must
+            // be one a store may hold
+            for (i, decl) in spec.annotators.iter().enumerate().filter(|(_, a)| a.persistent) {
+                let Err(e) = check_repository_name(&decl.repository_ref, false) else { continue };
+                let attr = source
+                    .and_then(|el| el.children_named("Annotator").nth(i))
+                    .and_then(|el| el.child("variables"))
+                    .and_then(|vars| vars.attr_span("repositoryRef"));
+                diags.push(
+                    Diagnostic::error("QV027", e.to_string())
+                        .at(attr.or_else(|| source.and_then(|el| el.span())))
+                        .help("name the repository with one path segment, such as \"archive\""),
+                );
+            }
             if !qurator_qvlint::has_errors(&diags) {
                 let started = std::time::Instant::now();
                 let mark = diags.len();
@@ -611,19 +621,20 @@ impl QualityEngine {
         rec.attr(view_span, "items", dataset.len());
         rec.attr(view_span, "mode", if plan.optimized { "optimized" } else { "baseline" });
 
-        let result = self.run_physical(&plan, &bound, dataset, &mut rec, view_span, run);
-        let (error, rejected) = match &result {
-            Ok((_, rejected)) => (false, *rejected),
+        let result = self.run_physical(&plan, &bound, dataset, &mut rec, view_span);
+        let (result, decisions, error, rejected) = match result {
+            Ok((groups, rejected, decisions)) => (Ok(groups), decisions, false, rejected),
             Err(e) => {
                 rec.attr(view_span, "error", e.to_string());
-                (true, 0)
+                (Err(e), None, true, 0)
             }
         };
         rec.attr(view_span, "rejected", rejected as usize);
-        // fold the stats before the release: long-lived allocations made
-        // right after the caches are freed land in the freed heap,
-        // fragment it and raise the peak RSS of later runs
-        self.note_run_stats(bound.stats.drain(&plan.view, Some(run), dataset.len() as u64));
+        // push the run's record before the release: long-lived
+        // allocations made right after the caches are freed land in the
+        // freed heap, fragment it and raise the peak RSS of later runs
+        let stats = bound.stats.drain(&plan.view, Some(run), dataset.len() as u64);
+        self.note_run(run, stats, decisions);
         // on the error path, closes whichever node or phase span the
         // failure interrupted
         rec.end_open_except(view_span);
@@ -637,13 +648,12 @@ impl QualityEngine {
             trace,
             RunContext { run_id: run, view: plan.view.clone(), error, rejected },
         );
-        result.map(|(groups, _)| ActionOutcome { groups })
+        result.map(|groups| ActionOutcome { groups })
     }
 
     /// The walker body: every node of the plan, in process order.
-    /// Returns the action groups plus how many items filter actions
-    /// rejected (a splitter's non-matches land in its default group — an
-    /// output, not a rejection).
+    /// Returns the action groups, how many items filter actions rejected,
+    /// and the decision capture when provenance is on.
     fn run_physical(
         &self,
         plan: &PhysicalPlan,
@@ -651,8 +661,7 @@ impl QualityEngine {
         dataset: &DataSet,
         rec: &mut SpanRecorder,
         view_span: SpanId,
-        run: RunId,
-    ) -> Result<(Vec<GroupResult>, u64)> {
+    ) -> Result<(Vec<GroupResult>, u64, Option<Decisions>)> {
         // Annotate nodes
         for (name, processor) in &bound.annotators {
             let span = rec.start(format!("node:{name}"), SpanKind::Node, Some(view_span));
@@ -672,14 +681,14 @@ impl QualityEngine {
         rec.end(enrich_span);
 
         // Assert nodes, in plan order (tags accumulate in the one map)
-        let mut tag_meta: Vec<(&str, &str, u64)> = Vec::with_capacity(plan.assertions.len());
+        let mut assert_spans: Vec<u64> = Vec::with_capacity(plan.assertions.len());
         for (assert, bound_assert) in plan.assertions.iter().zip(&bound.assertions) {
             let span =
                 rec.start(format!("node:{}", bound_assert.name), SpanKind::Node, Some(view_span));
             rec.attr(span, "tag", assert.node.tag.as_str());
             bound_assert.processor.assert_quality(&mut map)?;
             rec.end(span);
-            tag_meta.push((&assert.node.tag, &bound_assert.name, span.0));
+            assert_spans.push(span.0);
         }
 
         // the Consolidate node is implicit here — the walker accumulates
@@ -693,166 +702,47 @@ impl QualityEngine {
         rec.attr(consolidate_span, "assertions", plan.assertions.len());
         rec.end(consolidate_span);
 
-        // Act nodes (remembering each action's slice of the group list
-        // so provenance can attribute memberships per action)
+        // Act nodes (remembering each action's span and slice of the
+        // group list so provenance can attribute memberships per action)
         let mut groups: Vec<GroupResult> = Vec::new();
-        let mut action_slices: Vec<(usize, usize)> = Vec::with_capacity(plan.actions.len());
-        let mut action_spans: Vec<u64> = Vec::with_capacity(plan.actions.len());
+        let mut acts: Vec<(u64, std::ops::Range<usize>)> = Vec::with_capacity(plan.actions.len());
         for (name, processor) in &bound.actions {
             let span = rec.start(format!("node:{name}"), SpanKind::Node, Some(view_span));
             let start = groups.len();
             groups.extend(processor.apply(dataset, &map)?);
-            action_slices.push((start, groups.len()));
             rec.attr(span, "groups", groups.len() - start);
             rec.end(span);
-            action_spans.push(span.0);
+            acts.push((span.0, start..groups.len()));
         }
 
-        // decision provenance: one pass over the consolidated map, one
-        // complete trace per item (no per-phase re-keying). The span is
-        // recorded unconditionally — `qv explain --spans` and the
+        // decision provenance: one columnar pass over the consolidated
+        // map; traces are built from it only when a reader asks. The span
+        // is recorded unconditionally — `qv explain --spans` and the
         // retained-trace exports rely on the interpreter's trace shape
-        // being identical across runs, whether or not the ledger captured
-        // records and whether or not any item survived an action; the
-        // `recorded` attribute says which mode this run was in.
+        // being identical across runs, whether or not the run captured
+        // its decisions and whether or not any item survived an action;
+        // the `recorded` attribute says which mode this run was in.
         let prov_span = rec.start("phase:provenance", SpanKind::Phase, Some(view_span));
         rec.attr(prov_span, "recorded", self.ledger.enabled());
         rec.attr(prov_span, "items", map.len());
-        if self.ledger.enabled() {
-            // intern every per-run-constant name once; per item only the
-            // rendered values and the item key allocate
-            let sources: BTreeMap<&str, (Arc<str>, Option<Arc<str>>)> = plan
-                .enrich
-                .iter()
-                .flat_map(|group| {
-                    group.evidence.iter().map(|e| {
-                        (
-                            e.local_name(),
-                            (Arc::from(e.local_name()), Some(Arc::from(group.repository.as_str()))),
-                        )
-                    })
-                })
-                .collect();
-            type InternedTag<'a> = (&'a str, Arc<str>, Option<Arc<str>>, u64);
-            let tags: Vec<InternedTag> = tag_meta
-                .iter()
-                .map(|&(tag, service, span)| (tag, Arc::from(tag), Some(Arc::from(service)), span))
-                .collect();
-            let accepted: Arc<str> = Arc::from("accepted");
-            let rejected: Arc<str> = Arc::from("rejected");
-            enum ActionPlan {
-                Filter { group: Arc<str>, condition: Option<Arc<str>>, members: usize, span: u64 },
-                Split { targets: Vec<(Arc<str>, Option<Arc<str>>, usize)>, span: u64 },
-            }
-            // per-group membership sets, borrowed from the group datasets
-            let memberships: Vec<HashSet<&Term>> =
-                groups.iter().map(|g| g.dataset.items().iter().collect()).collect();
-            let plans: Vec<ActionPlan> = plan
-                .actions
-                .iter()
-                .zip(&action_slices)
-                .zip(&action_spans)
-                .map(|((act, &(start, end)), &span)| match &act.kind {
-                    ActKind::Filter { condition } => ActionPlan::Filter {
-                        group: Arc::from(act.name.as_str()),
-                        condition: Some(Arc::from(condition.as_str())),
-                        members: start,
-                        span,
-                    },
-                    // the groups in start..end follow the plan's conditions
-                    // in order; the trailing default group has none (group
-                    // names may contain '/', so they cannot be matched)
-                    ActKind::Split { groups: conditions } => ActionPlan::Split {
-                        targets: (start..end)
-                            .map(|i| {
-                                let condition =
-                                    conditions.get(i - start).map(|(_, c)| Arc::from(c.as_str()));
-                                (Arc::from(groups[i].name.as_str()), condition, i)
-                            })
-                            .collect(),
-                        span,
-                    },
-                })
-                .collect();
-            let mut batch = Vec::with_capacity(map.len());
-            let mut interned: HashMap<&str, Arc<str>> = HashMap::new();
-            for (term, row) in map.rows() {
-                let mut trace = DecisionTrace::new(item_key(term));
-                trace.run_id = Some(run);
-                trace.evidence = row
-                    .evidence_entries()
-                    .map(|(property, value)| {
-                        let (property, source) = sources
-                            .get(property.local_name())
-                            .cloned()
-                            .unwrap_or_else(|| (Arc::from(property.local_name()), None));
-                        EvidenceRecord {
-                            property,
-                            value: capture_value(&mut interned, value),
-                            source,
-                            span: Some(enrich_span.0),
-                        }
-                    })
-                    .collect();
-                trace.assertions = tags
-                    .iter()
-                    .filter_map(|(tag, property, assertion, span)| {
-                        let value = row.tag_ref(tag).filter(|v| !v.is_null())?;
-                        Some(AssertionRecord {
-                            property: property.clone(),
-                            value: capture_value(&mut interned, value),
-                            assertion: assertion.clone(),
-                            span: Some(*span),
-                        })
-                    })
-                    .collect();
-                for action_plan in &plans {
-                    match action_plan {
-                        ActionPlan::Filter { group, condition, members, span } => {
-                            let is_member =
-                                memberships.get(*members).is_some_and(|m| m.contains(term));
-                            trace.actions.push(ActionRecord {
-                                group: group.clone(),
-                                outcome: if is_member {
-                                    accepted.clone()
-                                } else {
-                                    rejected.clone()
-                                },
-                                condition: condition.clone(),
-                                span: Some(*span),
-                            });
-                        }
-                        ActionPlan::Split { targets, span } => {
-                            for (group, condition, index) in targets {
-                                if !memberships[*index].contains(term) {
-                                    continue;
-                                }
-                                trace.actions.push(ActionRecord {
-                                    group: group.clone(),
-                                    outcome: accepted.clone(),
-                                    condition: condition.clone(),
-                                    span: Some(*span),
-                                });
-                            }
-                        }
-                    }
-                }
-                batch.push(trace);
-            }
-            self.ledger.record_traces_bulk(batch);
-        }
+        let decisions = self
+            .ledger
+            .enabled()
+            .then(|| Decisions::capture(plan, &map, &groups, enrich_span.0, &assert_spans, &acts));
         rec.end(prov_span);
 
-        // rejected tally for the retainer's tail-sampling policy
+        // rejected tally for the retainer's tail-sampling policy (a
+        // splitter's non-matches land in its default group — an output,
+        // not a rejection)
         let mut rejected = 0u64;
-        for (act, &(start, _)) in plan.actions.iter().zip(&action_slices) {
+        for (act, (_, range)) in plan.actions.iter().zip(&acts) {
             if matches!(act.kind, ActKind::Filter { .. }) {
-                if let Some(group) = groups.get(start) {
+                if let Some(group) = groups.get(range.start) {
                     rejected += dataset.len().saturating_sub(group.dataset.len()) as u64;
                 }
             }
         }
-        Ok((groups, rejected))
+        Ok((groups, rejected, decisions))
     }
 
     /// Does nothing. A run's cache repositories belong to its bind and are
@@ -863,48 +753,13 @@ impl QualityEngine {
     pub fn finish_execution(&self) {}
 }
 
-/// Ledger key for an item: the bare IRI when the term is one, else its
-/// display form.
-fn item_key(term: &Term) -> String {
-    term.as_iri().map(|i| i.as_str().to_string()).unwrap_or_else(|| term.to_string())
-}
-
-/// One string interned per distinct value per run — classification
-/// labels and repeated text pay one allocation instead of one per
-/// record.
-fn intern<'a>(cache: &mut HashMap<&'a str, Arc<str>>, s: &'a str) -> Arc<str> {
-    if let Some(shared) = cache.get(s) {
-        return shared.clone();
-    }
-    let shared: Arc<str> = Arc::from(s);
-    cache.insert(s, shared.clone());
-    shared
-}
-
-/// Converts an [`EvidenceValue`] into its captured ledger form without
-/// rendering it: numbers and booleans copy, strings intern through
-/// `cache`. Provenance capture sits on the serve hot path, so this
-/// keeps the formatting machinery out of it (see
-/// [`qurator_telemetry::LedgerValue`]).
-fn capture_value<'a>(
-    cache: &mut HashMap<&'a str, Arc<str>>,
-    value: &'a qurator_annotations::EvidenceValue,
-) -> LedgerValue {
-    use qurator_annotations::EvidenceValue;
-    match value {
-        EvidenceValue::Number(n) => LedgerValue::Num(*n),
-        EvidenceValue::Text(s) => LedgerValue::Text(intern(cache, s)),
-        EvidenceValue::Bool(b) => LedgerValue::Bool(*b),
-        EvidenceValue::Class(c) => LedgerValue::Raw(intern(cache, c.local_name())),
-        EvidenceValue::Null => LedgerValue::Null,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runs::item_key;
     use crate::spec::{ActionDecl, ActionKind};
     use qurator_annotations::EvidenceValue;
+    use qurator_rdf::term::Term;
 
     fn item(n: u32) -> Term {
         Term::iri(format!("urn:lsid:pedro.man.ac.uk:hit:H{n}"))
@@ -1187,6 +1042,51 @@ mod tests {
                 "item H{n} should carry a rejected action record"
             );
         }
+    }
+
+    #[test]
+    fn budget_evicted_decisions_leave_a_run_its_stats() {
+        let engine = QualityEngine::with_proteomics_defaults().unwrap();
+        engine.set_provenance_enabled(true);
+        engine.ledger().set_trace_capacity(5);
+        let spec = QualityViewSpec::paper_example();
+        let (first, second) = (RunId::mint(), RunId::mint());
+        engine.execute_view_run(&spec, &imprint_dataset(), first).unwrap();
+        assert_eq!(engine.ledger().for_run(first).len(), 5);
+        engine.execute_view_run(&spec, &imprint_dataset(), second).unwrap();
+        assert!(engine.ledger().for_run(first).is_empty(), "the budget holds one run");
+        assert_eq!(engine.run_stats(first).unwrap().run_id, Some(first));
+        assert_eq!(engine.ledger().for_run(second).len(), 5);
+    }
+
+    #[test]
+    fn renaming_a_node_starts_a_fresh_profile() {
+        let engine = QualityEngine::with_proteomics_defaults().unwrap();
+        let mut spec = QualityViewSpec::paper_example();
+        engine.execute_view(&spec, &imprint_dataset()).unwrap();
+        assert_eq!(engine.stats_profile(&spec.name).unwrap().runs, 1);
+        spec.actions[0].name = "renamed".into();
+        engine.execute_view(&spec, &imprint_dataset()).unwrap();
+        let profile = engine.stats_profile(&spec.name).unwrap();
+        assert_eq!(profile.runs, 1, "the renamed view starts over");
+        assert!(profile.node("renamed").is_some());
+        assert!(profile.node("filter top k score").is_none());
+    }
+
+    #[test]
+    fn check_anchors_a_bad_persistent_repository_name_at_its_attribute() {
+        let xml = include_str!("../../../samples/persistent_archive.xml")
+            .replace("repositoryRef=\"archive\"", "repositoryRef=\"../escaped\"");
+        let (spec, root) = crate::xmlio::parse_quality_view_with_source(&xml).unwrap();
+        let engine = QualityEngine::with_proteomics_defaults().unwrap();
+        let diags = engine.check(&spec, Some(&root));
+        let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
+        assert_eq!(codes, vec!["QV027"], "{diags:?}");
+        let span = diags[0].span.expect("anchored");
+        assert_eq!((span.line, span.col), (4, 31), "at the annotator's repositoryRef");
+        // running the view is still refused, as the view's fault
+        let err = engine.execute_view(&spec, &imprint_dataset()).unwrap_err();
+        assert!(matches!(err, QuratorError::Execution(_)), "{err}");
     }
 
     #[test]

@@ -87,6 +87,7 @@ pub mod library;
 pub mod lint;
 pub mod operators;
 pub mod planner;
+pub mod runs;
 pub mod spec;
 pub mod validate;
 pub mod xmlio;

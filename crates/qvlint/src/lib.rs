@@ -303,6 +303,7 @@ pub mod codes {
             "QV026",
             "branch shadowed: condition subsumed by a sibling under the classification domain",
         ),
+        ("QV027", "persistent repository name cannot name a store directory"),
         ("WF001", "compiled workflow contains a dependency cycle"),
         ("WF002", "workflow node is unreachable from any workflow input"),
         ("WF003", "repository is written but never read within the view"),

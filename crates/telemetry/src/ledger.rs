@@ -1,83 +1,30 @@
-//! The decision-provenance ledger: per data item, what evidence was
-//! fetched (Data Enrichment), what score/class each Quality Assertion
-//! assigned, and what action was taken — each optionally linked to the
-//! span that produced it.
+//! Decision-provenance records: per data item, what evidence was fetched
+//! (Data Enrichment), what score/class each Quality Assertion assigned,
+//! and what action was taken — each optionally linked to the span that
+//! produced it.
 //!
-//! Recording is gated on an `AtomicBool` (one relaxed load when
-//! disabled), and [`DecisionLedger::record_traces_bulk`] takes the write
-//! lock once per run, not once per item, so a ledger-enabled run stays
-//! close to a disabled one.
-//!
-//! Every record carries the [`RunId`] of the run that produced it, so
-//! [`DecisionLedger::for_run`] can slice the ledger by run — the piece
-//! `GET /runs/<id>` serves. A long-lived engine bounds the item map via
-//! [`DecisionLedger::set_trace_capacity`] (insertion-order eviction);
-//! the CLI keeps it unbounded, as one run's items always fit.
+//! A [`DecisionTrace`] is the answer to `why(item)`. The engine does not
+//! store traces: each run keeps one columnar record of its consolidated
+//! map and groups (`qurator::runs`), and builds a run's traces from it
+//! only when a reader asks (`qv explain`, `GET /runs/<id>`). Every trace
+//! carries the [`RunId`] of the run that produced it.
 
-use std::collections::{HashMap, VecDeque};
-use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use crate::runid::RunId;
 use crate::span::SpanTrace;
 
-/// A captured decision-record value.
-///
-/// Provenance capture sits on the per-request hot path of a serving
-/// engine, so values are stored as captured — numbers raw, strings as
-/// shared `Arc<str>` — and rendered to their display form only when a
-/// reader asks (`qv explain`, `GET /runs/<id>`). The rendering matches
-/// the engine's `EvidenceValue` display: numbers bare, text quoted,
-/// symbols (classification labels) bare.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LedgerValue {
-    /// Numeric value, rendered bare (`0.9`).
-    Num(f64),
-    /// Free-text value, rendered quoted (`"P12345"`).
-    Text(Arc<str>),
-    /// Pre-rendered or symbol-like value (classification labels,
-    /// condition results), rendered bare.
-    Raw(Arc<str>),
-    Bool(bool),
-    Null,
-}
-
-impl fmt::Display for LedgerValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LedgerValue::Num(n) => write!(f, "{n}"),
-            LedgerValue::Text(s) => write!(f, "{s:?}"),
-            LedgerValue::Raw(s) => write!(f, "{s}"),
-            LedgerValue::Bool(b) => write!(f, "{b}"),
-            LedgerValue::Null => write!(f, "null"),
-        }
-    }
-}
-
-impl From<&str> for LedgerValue {
-    fn from(s: &str) -> Self {
-        LedgerValue::Raw(Arc::from(s))
-    }
-}
-
-impl From<String> for LedgerValue {
-    fn from(s: String) -> Self {
-        LedgerValue::Raw(Arc::from(s.as_str()))
-    }
-}
-
 /// One evidence value fetched for an item during Data Enrichment.
 ///
 /// Names that repeat across every item of a run (properties, sources,
-/// group labels, conditions) are `Arc<str>` so a million-item ledger
-/// shares one allocation per distinct name instead of one per record.
+/// group labels, conditions) are `Arc<str>`, shared by all of a run's
+/// traces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvidenceRecord {
     /// Quality-evidence property name (e.g. `HitRatio`).
     pub property: Arc<str>,
-    /// The captured value (see [`LedgerValue`]).
-    pub value: LedgerValue,
+    /// The value, rendered: numbers and labels bare, text quoted.
+    pub value: String,
     /// Annotation repository / source the value came from, if known.
     pub source: Option<Arc<str>>,
     /// Id of the span under which the fetch happened.
@@ -89,8 +36,8 @@ pub struct EvidenceRecord {
 pub struct AssertionRecord {
     /// Assertion output property (e.g. `ScoreClass`).
     pub property: Arc<str>,
-    /// The captured score/class value (see [`LedgerValue`]).
-    pub value: LedgerValue,
+    /// The score or class, rendered as evidence values are.
+    pub value: String,
     /// Name of the assertion that produced it, if known.
     pub assertion: Option<Arc<str>>,
     pub span: Option<u64>,
@@ -113,7 +60,7 @@ pub struct ActionRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionTrace {
     pub item: String,
-    /// The run that (last) recorded into this trace.
+    /// The run that produced this trace.
     pub run_id: Option<RunId>,
     pub evidence: Vec<EvidenceRecord>,
     pub assertions: Vec<AssertionRecord>,
@@ -121,11 +68,6 @@ pub struct DecisionTrace {
 }
 
 impl DecisionTrace {
-    /// An empty trace for `item`.
-    pub fn new(item: impl Into<String>) -> Self {
-        DecisionTrace { item: item.into(), ..Default::default() }
-    }
-
     /// Human-readable rendering; with a [`SpanTrace`] the producing spans
     /// are named inline.
     pub fn render_with(&self, spans: Option<&SpanTrace>) -> String {
@@ -201,7 +143,7 @@ impl DecisionTrace {
                 out,
                 "{{\"property\":\"{}\",\"value\":\"{}\",\"source\":{},\"span\":{}}}",
                 escape(&e.property),
-                escape(&e.value.to_string()),
+                escape(&e.value),
                 opt(&e.source),
                 span(&e.span)
             );
@@ -215,7 +157,7 @@ impl DecisionTrace {
                 out,
                 "{{\"property\":\"{}\",\"value\":\"{}\",\"assertion\":{},\"span\":{}}}",
                 escape(&a.property),
-                escape(&a.value.to_string()),
+                escape(&a.value),
                 opt(&a.assertion),
                 span(&a.span)
             );
@@ -241,8 +183,8 @@ impl DecisionTrace {
 
 /// A run-level (not per-item) event worth remembering alongside the
 /// decision traces — today: quality-drift threshold crossings republished
-/// from [`crate::drift::DriftMonitor`]. Unlike per-item recording, events
-/// are rare and not gated on the enabled flag.
+/// from [`crate::drift::DriftMonitor`]. Unlike per-item capture, events
+/// are rare and not gated on the provenance switch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEvent {
     /// Event kind, e.g. `qa.drift.threshold`.
@@ -257,200 +199,14 @@ pub struct LedgerEvent {
     pub run_id: Option<RunId>,
 }
 
-/// Item map plus insertion order, guarded by one lock so bounded
-/// eviction stays consistent with the map.
-#[derive(Default)]
-struct TraceStore {
-    map: HashMap<String, DecisionTrace>,
-    /// Keys in insertion order (each key exactly once; merges into an
-    /// existing trace do not re-add it).
-    order: VecDeque<String>,
-    /// Maximum items before insertion-order eviction; 0 = unbounded.
-    capacity: usize,
-}
-
-impl TraceStore {
-    /// Drops oldest items until one more insert fits the capacity.
-    fn evict_for_insert(&mut self) {
-        if self.capacity == 0 {
-            return;
-        }
-        while self.map.len() >= self.capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-/// The ledger itself: item IRI → [`DecisionTrace`], recording gated on an
-/// atomic flag (disabled by default — zero overhead when off beyond one
-/// relaxed load per bulk call).
-#[derive(Default)]
-pub struct DecisionLedger {
-    enabled: AtomicBool,
-    traces: RwLock<TraceStore>,
-    events: RwLock<Vec<LedgerEvent>>,
-}
-
-impl DecisionLedger {
-    /// A fresh, disabled ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Turns recording on or off.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Bounds the item map at `capacity` traces, evicting oldest-first
-    /// once full (and immediately, if already over). `0` = unbounded
-    /// (the default). A long-lived `qv serve` engine sets this so
-    /// always-on provenance cannot grow without limit.
-    pub fn set_trace_capacity(&self, capacity: usize) {
-        let mut store = self.traces.write().unwrap();
-        store.capacity = capacity;
-        if capacity > 0 {
-            while store.map.len() > capacity {
-                match store.order.pop_front() {
-                    Some(old) => {
-                        store.map.remove(&old);
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-
-    /// Records complete traces for many items in one lock acquisition
-    /// (one map operation per item) — the ledger's only write path. An
-    /// existing trace for the same item is merged (records append) when
-    /// the incoming trace belongs to the same run (or carries no run id),
-    /// and *replaced* when a new run produced it: a run's bundle must
-    /// never carry a previous run's decisions for the same item, and a
-    /// long-lived serve engine re-running the same items must not
-    /// accumulate records without bound.
-    pub fn record_traces_bulk(&self, traces: Vec<DecisionTrace>) {
-        if !self.enabled() || traces.is_empty() {
-            return;
-        }
-        let mut store = self.traces.write().unwrap();
-        store.map.reserve(traces.len());
-        for trace in traces {
-            if let Some(existing) = store.map.get_mut(&trace.item) {
-                if trace.run_id.is_some() && existing.run_id != trace.run_id {
-                    *existing = trace;
-                } else {
-                    if trace.run_id.is_some() {
-                        existing.run_id = trace.run_id;
-                    }
-                    existing.evidence.extend(trace.evidence);
-                    existing.assertions.extend(trace.assertions);
-                    existing.actions.extend(trace.actions);
-                }
-                continue;
-            }
-            store.evict_for_insert();
-            store.order.push_back(trace.item.clone());
-            store.map.insert(trace.item.clone(), trace);
-        }
-    }
-
-    /// Appends a run-level event (drift crossings etc.). Not gated on
-    /// the enabled flag: events are rare and always worth keeping.
-    /// Bounded (oldest dropped past 1024) so a long-lived serve engine
-    /// can't grow it without limit.
-    pub fn record_event(&self, event: LedgerEvent) {
-        let mut events = self.events.write().unwrap();
-        if events.len() >= 1024 {
-            events.remove(0);
-        }
-        events.push(event);
-    }
-
-    /// All recorded run-level events, in recording order.
-    pub fn events(&self) -> Vec<LedgerEvent> {
-        self.events.read().unwrap().clone()
-    }
-
-    /// The run-level events stamped with a specific run.
-    pub fn events_for_run(&self, run: RunId) -> Vec<LedgerEvent> {
-        self.events.read().unwrap().iter().filter(|e| e.run_id == Some(run)).cloned().collect()
-    }
-
-    /// The decision trace for an exact item id.
-    pub fn why(&self, item: &str) -> Option<DecisionTrace> {
-        self.traces.read().unwrap().map.get(item).cloned()
-    }
-
-    /// Finds items whose id equals or ends with `needle` (so a user can
-    /// say `explain P1` instead of the full LSID). Results are sorted.
-    pub fn find(&self, needle: &str) -> Vec<DecisionTrace> {
-        let store = self.traces.read().unwrap();
-        let mut out: Vec<DecisionTrace> = store
-            .map
-            .values()
-            .filter(|t| t.item == needle || t.item.ends_with(needle))
-            .cloned()
-            .collect();
-        out.sort_by(|a, b| a.item.cmp(&b.item));
-        out
-    }
-
-    /// The ledger slice a run produced: every decision trace stamped
-    /// with `run`, sorted by item. This is what `GET /runs/<id>` serves.
-    pub fn for_run(&self, run: RunId) -> Vec<DecisionTrace> {
-        let store = self.traces.read().unwrap();
-        let mut out: Vec<DecisionTrace> =
-            store.map.values().filter(|t| t.run_id == Some(run)).cloned().collect();
-        out.sort_by(|a, b| a.item.cmp(&b.item));
-        out
-    }
-
-    /// All item ids with a trace, sorted.
-    pub fn items(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.traces.read().unwrap().map.keys().cloned().collect();
-        out.sort();
-        out
-    }
-
-    /// Number of items traced.
-    pub fn len(&self) -> usize {
-        self.traces.read().unwrap().map.len()
-    }
-
-    /// True when nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all traces (recording flag and run-level events unchanged —
-    /// a serve engine clears per-run provenance between submissions but
-    /// keeps its drift history).
-    pub fn clear(&self) {
-        let mut store = self.traces.write().unwrap();
-        store.map.clear();
-        store.order.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const ITEM: &str = "urn:lsid:t:h:1";
 
-    /// One item's trace carrying a single evidence record.
-    fn sample_trace(item: &str, run: Option<RunId>) -> DecisionTrace {
+    /// One item's trace carrying one record of each kind.
+    fn sample_trace(run: Option<RunId>) -> DecisionTrace {
         DecisionTrace {
             run_id: run,
             evidence: vec![EvidenceRecord {
@@ -459,24 +215,6 @@ mod tests {
                 source: Some("PedroRepo".into()),
                 span: Some(4),
             }],
-            ..DecisionTrace::new(item)
-        }
-    }
-
-    #[test]
-    fn disabled_ledger_records_nothing() {
-        let ledger = DecisionLedger::new();
-        ledger.record_traces_bulk(vec![sample_trace(ITEM, None)]);
-        assert!(ledger.is_empty());
-        assert!(ledger.why(ITEM).is_none());
-    }
-
-    #[test]
-    fn why_round_trip() {
-        let ledger = DecisionLedger::new();
-        ledger.set_enabled(true);
-        let run = RunId::mint();
-        ledger.record_traces_bulk(vec![DecisionTrace {
             assertions: vec![AssertionRecord {
                 property: "ScoreClass".into(),
                 value: "q:high".into(),
@@ -489,86 +227,28 @@ mod tests {
                 condition: Some("ScoreClass in q:high".into()),
                 span: Some(9),
             }],
-            ..sample_trace(ITEM, Some(run))
-        }]);
-        let trace = ledger.why(ITEM).unwrap();
-        assert_eq!(trace.run_id, Some(run));
-        assert_eq!(trace.evidence.len(), 1);
-        assert_eq!(trace.assertions[0].value.to_string(), "q:high");
-        assert_eq!(trace.actions[0].outcome.as_ref(), "accepted");
-        let rendered = trace.render_with(None);
+            item: ITEM.into(),
+        }
+    }
+
+    #[test]
+    fn text_rendering_names_every_record() {
+        let rendered = sample_trace(None).render_with(None);
         assert!(rendered.contains("HitRatio = 0.9 (from PedroRepo)"));
         assert!(rendered.contains("ScoreClass = q:high (by PIScore)"));
         assert!(rendered.contains("filter top k score -> accepted"));
-        // suffix find
-        let found = ledger.find("h:1");
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].item, ITEM);
-        assert!(ledger.find("nope").is_empty());
+        let empty = DecisionTrace { item: ITEM.into(), ..Default::default() }.render_with(None);
+        assert_eq!(empty.matches("(none recorded)").count(), 3);
     }
 
     #[test]
     fn json_rendering_parses() {
-        let ledger = DecisionLedger::new();
-        ledger.set_enabled(true);
-        ledger.record_traces_bulk(vec![sample_trace(ITEM, Some(RunId::from_u64(0xFEED)))]);
-        let json = ledger.why(ITEM).unwrap().to_json();
+        let json = sample_trace(Some(RunId::from_u64(0xFEED))).to_json();
         let value = crate::json::parse(&json).unwrap();
         let obj = value.as_object().unwrap();
         assert_eq!(obj.get("item").and_then(|v| v.as_str()), Some(ITEM));
         assert_eq!(obj.get("run_id").and_then(|v| v.as_str()), Some("000000000000feed"));
         assert_eq!(obj.get("evidence").and_then(|v| v.as_array()).map(|a| a.len()), Some(1));
-    }
-
-    #[test]
-    fn for_run_slices_the_ledger_by_run() {
-        let ledger = DecisionLedger::new();
-        ledger.set_enabled(true);
-        let first = RunId::mint();
-        let second = RunId::mint();
-        ledger.record_traces_bulk(vec![sample_trace(ITEM, Some(first))]);
-        ledger.record_traces_bulk(vec![DecisionTrace {
-            run_id: Some(second),
-            ..DecisionTrace::new("urn:lsid:t:h:2")
-        }]);
-        assert_eq!(ledger.for_run(first).len(), 1);
-        assert_eq!(ledger.for_run(first)[0].item, ITEM);
-        assert_eq!(ledger.for_run(second)[0].item, "urn:lsid:t:h:2");
-        // the same run writing the item again merges its records …
-        ledger.record_traces_bulk(vec![sample_trace(ITEM, Some(first))]);
-        assert_eq!(ledger.why(ITEM).unwrap().evidence.len(), 2);
-        // … while a new run replaces them and moves the item over
-        ledger.record_traces_bulk(vec![sample_trace(ITEM, Some(second))]);
-        assert!(ledger.for_run(first).is_empty());
-        assert_eq!(ledger.for_run(second).len(), 2);
-        assert_eq!(ledger.why(ITEM).unwrap().evidence.len(), 1);
-        // events slice the same way
-        ledger.record_event(LedgerEvent {
-            kind: "qa.drift.threshold".into(),
-            subject: "S".into(),
-            detail: "drifted".into(),
-            seq: 0,
-            run_id: Some(second),
-        });
-        assert!(ledger.events_for_run(first).is_empty());
-        assert_eq!(ledger.events_for_run(second).len(), 1);
-    }
-
-    #[test]
-    fn bounded_capacity_evicts_oldest_items_first() {
-        let ledger = DecisionLedger::new();
-        ledger.set_enabled(true);
-        ledger.set_trace_capacity(4);
-        for i in 0..10 {
-            ledger.record_traces_bulk(vec![DecisionTrace::new(format!("item:{i}"))]);
-        }
-        assert_eq!(ledger.len(), 4);
-        assert_eq!(ledger.items(), vec!["item:6", "item:7", "item:8", "item:9"]);
-        // merging into a survivor does not evict anything
-        ledger.record_traces_bulk(vec![DecisionTrace::new("item:8")]);
-        assert_eq!(ledger.len(), 4);
-        // shrinking the capacity evicts immediately
-        ledger.set_trace_capacity(2);
-        assert_eq!(ledger.items(), vec!["item:8", "item:9"]);
+        assert_eq!(obj.get("actions").and_then(|v| v.as_array()).map(|a| a.len()), Some(1));
     }
 }

@@ -14,11 +14,11 @@
 //!   fixed-bucket log₂-scale histograms backed by sharded atomics, so the
 //!   enrichment hot path can record rates and latencies without
 //!   serialising writers;
-//! * [`ledger`] — the decision-provenance ledger: per data item, the
+//! * [`ledger`] — decision-provenance records: per data item, the
 //!   evidence values fetched (Data Enrichment), the scores/classes
 //!   assigned (Quality Assertions) and the actions taken, each linked to
-//!   the span that produced it, queryable as `why(item) ->`
-//!   [`ledger::DecisionTrace`].
+//!   the span that produced it — the [`ledger::DecisionTrace`] that
+//!   answers `why(item)`.
 //!
 //! On top of the per-run pillars sits the continuous-observability layer
 //! for long-lived engines (`qv serve`):
@@ -71,10 +71,7 @@ pub mod stats;
 
 pub use accesslog::{AccessLog, AccessRecord};
 pub use drift::{DriftConfig, DriftEvent, DriftMonitor};
-pub use ledger::{
-    ActionRecord, AssertionRecord, DecisionLedger, DecisionTrace, EvidenceRecord, LedgerEvent,
-    LedgerValue,
-};
+pub use ledger::{ActionRecord, AssertionRecord, DecisionTrace, EvidenceRecord, LedgerEvent};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::Profile;
 pub use retain::{KeepReason, RetainedTrace, TelemetryConfig, TraceMeta, TraceRetainer};
