@@ -20,8 +20,8 @@
 //! EXPLAIN surface).
 
 use crate::compile;
+use crate::ledger::{Decisions, RunLedger, RunRecord};
 use crate::operators::GroupResult;
-use crate::runs::{Decisions, RunLedger, RunRecord};
 use crate::spec::QualityViewSpec;
 use crate::validate::{self, ValidatedView};
 use crate::{exec, planner, QuratorError, Result};
@@ -756,7 +756,7 @@ impl QualityEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runs::item_key;
+    use crate::ledger::item_key;
     use crate::spec::{ActionDecl, ActionKind};
     use qurator_annotations::EvidenceValue;
     use qurator_rdf::term::Term;

@@ -434,6 +434,136 @@ mod tests {
         ledger.ring.read().records.len()
     }
 
+    const ITEM: &str = "urn:lsid:t:h:1";
+
+    /// A one-item record carrying one evidence value, one tag and one
+    /// filter verdict the item passed.
+    fn sample_record(run: RunId) -> RunRecord {
+        let column = |name: &str, by: &str, span, value| Column {
+            name: name.into(),
+            by: Some(by.into()),
+            span,
+            values: vec![Some(value)],
+        };
+        let decisions = Decisions {
+            items: vec![Term::iri(ITEM)],
+            evidence: vec![(
+                Iri::new("urn:q:HitRatio"),
+                column("HitRatio", "PedroRepo", 4, EvidenceValue::Number(0.9)),
+            )],
+            tags: vec![column(
+                "ScoreClass",
+                "PIScore",
+                7,
+                EvidenceValue::Class(Iri::new("urn:q#high")),
+            )],
+            groups: vec![Membership {
+                group: "filter top k score".into(),
+                condition: Some("ScoreClass in q:high".into()),
+                span: 9,
+                filter: true,
+                members: vec![1],
+            }],
+        };
+        RunRecord { run_id: run, stats: None, decisions: Some(Arc::new(decisions)) }
+    }
+
+    #[test]
+    fn disabled_ledger_records_nothing() {
+        use crate::engine::QualityEngine;
+        use crate::spec::QualityViewSpec;
+        use qurator_services::DataSet;
+
+        let engine = QualityEngine::with_proteomics_defaults().unwrap();
+        assert!(!engine.ledger().enabled(), "decision capture is off by default");
+        let mut dataset = DataSet::new();
+        for (n, hit_ratio) in [(1, 0.9), (2, 0.2)] {
+            dataset.push(
+                Term::iri(format!("urn:lsid:pedro.man.ac.uk:hit:H{n}")),
+                [("hitRatio", EvidenceValue::from(hit_ratio))],
+            );
+        }
+        let run = RunId::mint();
+        engine.execute_view_run(&QualityViewSpec::paper_example(), &dataset, run).unwrap();
+        assert!(engine.ledger().is_empty());
+        assert!(engine.why("urn:lsid:pedro.man.ac.uk:hit:H1").is_none());
+        assert!(engine.ledger().for_run(run).is_empty());
+        // the run still leaves its stats behind
+        assert_eq!(engine.run_stats(run).unwrap().run_id, Some(run));
+    }
+
+    #[test]
+    fn why_round_trip() {
+        let ledger = RunLedger::default();
+        let run = RunId::from_u64(0xFEED);
+        ledger.push(sample_record(run));
+        let trace = ledger.why(ITEM).unwrap();
+        assert_eq!(trace.run_id, Some(run));
+        assert_eq!(trace.evidence.len(), 1);
+        assert_eq!(trace.assertions[0].value, "high");
+        assert_eq!(trace.actions[0].outcome.as_ref(), "accepted");
+        let rendered = trace.render_with(None);
+        assert!(rendered.contains("HitRatio = 0.9 (from PedroRepo)"));
+        assert!(rendered.contains("ScoreClass = high (by PIScore)"));
+        assert!(rendered.contains("filter top k score -> accepted"));
+        // suffix find
+        let found = ledger.find("h:1");
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].item, ITEM);
+        assert!(ledger.find("nope").is_empty());
+    }
+
+    #[test]
+    fn for_run_slices_the_ledger_by_run() {
+        let ledger = RunLedger::default();
+        let (first, second) = (RunId::from_u64(1), RunId::from_u64(2));
+        ledger.push(sample_record(first));
+        ledger.push(record(2, 7..8));
+        assert_eq!(ledger.for_run(first).len(), 1);
+        assert_eq!(ledger.for_run(first)[0].item, ITEM);
+        assert_eq!(ledger.for_run(second)[0].item, "urn:lsid:t:h:0007");
+        assert!(ledger.for_run(RunId::from_u64(3)).is_empty());
+        // events slice the same way
+        ledger.record_event(LedgerEvent {
+            kind: "qa.drift.threshold".into(),
+            subject: "S".into(),
+            detail: "drifted".into(),
+            seq: 0,
+            run_id: Some(second),
+        });
+        assert!(ledger.events_for_run(first).is_empty());
+        assert_eq!(ledger.events_for_run(second).len(), 1);
+    }
+
+    #[test]
+    fn bounded_capacity_evicts_oldest_items_first() {
+        let ledger = RunLedger::default();
+        ledger.set_trace_capacity(4);
+        let one_item = |run: u64, item: u64| RunRecord {
+            run_id: RunId::from_u64(run),
+            stats: None,
+            decisions: Some(Arc::new(Decisions {
+                items: vec![Term::iri(format!("item:{item}"))],
+                evidence: Vec::new(),
+                tags: Vec::new(),
+                groups: Vec::new(),
+            })),
+        };
+        for i in 0..10 {
+            ledger.push(one_item(i, i));
+        }
+        assert_eq!(ledger.len(), 4);
+        assert_eq!(ledger.items(), vec!["item:6", "item:7", "item:8", "item:9"]);
+        // a re-run of a retained item is a new run: it spends budget, so
+        // the oldest run's decisions go
+        ledger.push(one_item(10, 8));
+        assert_eq!(ledger.items(), vec!["item:7", "item:8", "item:9"]);
+        // shrinking the capacity evicts immediately
+        ledger.set_trace_capacity(2);
+        assert_eq!(ledger.items(), vec!["item:8", "item:9"]);
+        assert_eq!(ledger.why("item:8").unwrap().run_id, Some(RunId::from_u64(10)));
+    }
+
     #[test]
     fn a_rerun_keeps_the_earlier_runs_decisions() {
         let ledger = RunLedger::default();

@@ -83,11 +83,11 @@ pub mod convert;
 pub mod deploy;
 pub mod engine;
 pub mod exec;
+pub mod ledger;
 pub mod library;
 pub mod lint;
 pub mod operators;
 pub mod planner;
-pub mod runs;
 pub mod spec;
 pub mod validate;
 pub mod xmlio;

@@ -5,7 +5,7 @@
 //!
 //! A [`DecisionTrace`] is the answer to `why(item)`. The engine does not
 //! store traces: each run keeps one columnar record of its consolidated
-//! map and groups (`qurator::runs`), and builds a run's traces from it
+//! map and groups (`qurator::ledger`), and builds a run's traces from it
 //! only when a reader asks (`qv explain`, `GET /runs/<id>`). Every trace
 //! carries the [`RunId`] of the run that produced it.
 
