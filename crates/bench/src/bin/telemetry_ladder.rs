@@ -5,14 +5,16 @@
 //! Every step has its own engine and adds one layer to the step before
 //! it:
 //!
-//! 1. `baseline` — stats off, ledger off, no retainer, drift off;
+//! 1. `baseline` — stats off, ledger off, drift off;
 //! 2. `+ stats` — the per-node `NodeStats` counters (`qv run`'s default);
 //! 3. `+ ledger` — per-run decision capture under `qv serve`'s item
 //!    budget;
-//! 4. `+ retainer + drift` — tail-sampled trace retention and the drift
-//!    monitor, at the default `TelemetryConfig`;
+//! 4. `+ drift` — the drift monitor, at the default `TelemetryConfig`;
 //! 5. `+ correlation` — a caller-minted `RunId` and one access-log
 //!    record per request: `qv serve`'s configuration.
+//!
+//! Every step keeps each run's span trace in its record in the engine's
+//! run ring, so trace retention is part of the baseline.
 //!
 //! A second `baseline` engine forms an A/A pair: the spread of its
 //! paired deltas is the noise floor a step's delta must clear before it
@@ -96,7 +98,7 @@ fn main() {
         Step::new("baseline (A/A)", "aa"),
         Step::new("+ stats", "stats"),
         Step::new("+ ledger", "ledger"),
-        Step::new("+ retainer + drift", "retainer_drift"),
+        Step::new("+ drift", "drift"),
         Step::new("+ correlation", "correlation"),
     ];
     for step in &mut steps[2..] {
@@ -106,13 +108,10 @@ fn main() {
         step.engine.set_provenance_enabled(true);
         step.engine.ledger().set_trace_capacity(LEDGER_CAPACITY);
     }
-    let retainers: Vec<_> = steps[4..]
-        .iter_mut()
-        .map(|step| {
-            step.drift = true;
-            step.engine.enable_observability(&config)
-        })
-        .collect();
+    for step in &mut steps[4..] {
+        step.drift = true;
+        step.engine.enable_observability(&config);
+    }
     steps[5].correlated = true;
 
     let sample = |step: &Step| -> f64 {
@@ -145,7 +144,7 @@ fn main() {
         }
         quantile(&request_ms, 0.5)
     };
-    // warm-up: condition compiler, annotation caches, retainer shards
+    // warm-up: condition compiler, annotation caches, the run rings
     for step in &steps {
         sample(step);
     }
@@ -185,8 +184,8 @@ fn main() {
             step.name
         );
     }
-    for retainer in &retainers {
-        assert!(retainer.resident() <= retainer.capacity(), "retainer within its capacity");
+    for step in &steps {
+        assert!(step.engine.last_trace().is_some(), "{}: the ring keeps traces", step.name);
     }
     let correlated_requests = ((ROUNDS + 1) * requests) as u64;
     assert_eq!(access_log.recorded(), correlated_requests, "one access record per request");
@@ -236,10 +235,8 @@ fn main() {
         "ledger step, phase:provenance share of the run: {share_med:.2}% (q1 {share_q1:.2}%, q3 {share_q3:.2}%)"
     );
     println!(
-        "ledger: {} item(s) (budget {LEDGER_CAPACITY}) | retainer: {} of {} trace(s) resident | access log: {} record(s)",
+        "ledger: {} item(s) (budget {LEDGER_CAPACITY}) | access log: {} record(s)",
         steps[5].engine.ledger().len(),
-        retainers[1].resident(),
-        retainers[1].capacity(),
         access_log.recorded(),
     );
 

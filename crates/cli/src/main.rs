@@ -31,16 +31,18 @@
 //! qv serve    <view.xml>... --addr HOST:PORT     long-lived engine over HTTP:
 //!             [--store <dir>]                    GET /healthz /metrics /drift /slo
 //!             [--workers N] [--queue N]          GET /traces/recent /log/recent
-//!             [--keep-alive-max N]               GET /runs/<id> (correlation bundle)
-//!             [--read-timeout-ms N]              GET /store (storage inventory)
-//!             [--trace-capacity N]               POST /run/<view> with a TSV body
-//!             [--sample-rate F]                  (worker pool + bounded queue;
-//!             [--drift-window N]                 full queue -> 503 + Retry-After;
-//!             [--drift-threshold F]              every run echoes X-QV-Run-Id;
-//!             [--access-log FILE]                GET /stats/<view> (observed
-//!             [--slo-p99-ms N] [--slo-availability F]  profile; with --store,
-//!                                                persistent repos survive
-//!                                                restarts and crashes)
+//!             [--keep-alive-max N]               GET /runs/<id> (one run's record:
+//!             [--read-timeout-ms N]              trace, decisions, events, stats;
+//!             [--drift-window N]                 the last 256 runs)
+//!             [--drift-threshold F]              GET /store (storage inventory)
+//!             [--access-log FILE]                POST /run/<view> with a TSV body
+//!             [--slo-p99-ms N] [--slo-availability F]  (worker pool + bounded
+//!                                                queue; full queue -> 503 +
+//!                                                Retry-After; every run echoes
+//!                                                X-QV-Run-Id; GET /stats/<view>
+//!                                                serves the observed profile;
+//!                                                with --store, persistent repos
+//!                                                survive restarts and crashes)
 //! qv bench-check <BENCH_*.json|dir|--all>        validate bench result artifacts
 //!                                                (a directory checks every
 //!                                                BENCH_*.json inside it)
@@ -106,7 +108,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  qv validate <view.xml>\n  qv check <view.xml|query.rq> [--format text|json] [--deny warnings] [--fix [--dry-run]]\n  qv compile <view.xml> [--dot]\n  qv plan <view.xml> [--no-opt] [--format text|json]\n  qv plan-check <plan.json>\n  qv fmt <view.xml>\n  qv run <view.xml> --data <hits.tsv> [--group NAME] [--explain] [--analyze [--format text|json]] [--store DIR] [--stats-out FILE] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]\n  qv load <triples.ttl> --store <dir> [--repo NAME]\n  qv explain <view.xml> --data <hits.tsv> --item <id-or-suffix> [--spans]\n  qv profile <view.xml> --data <hits.tsv> [--runs N] [--folded out.txt]\n  qv serve <view.xml>... --addr HOST:PORT [--store DIR] [--workers N] [--queue N] [--keep-alive-max N] [--read-timeout-ms N] [--trace-capacity N] [--sample-rate F] [--drift-window N] [--drift-threshold F] [--access-log FILE] [--slo-p99-ms N] [--slo-availability F]\n  qv telemetry-check <trace.jsonl> [metrics.txt] [--access-log access.jsonl] [--analyze analyze.json] [--stats-profile profile.json]\n  qv bench-check <BENCH_*.json|dir|--all>\n  qv library <catalog.xml> [--search TEXT]"
+    "usage:\n  qv validate <view.xml>\n  qv check <view.xml|query.rq> [--format text|json] [--deny warnings] [--fix [--dry-run]]\n  qv compile <view.xml> [--dot]\n  qv plan <view.xml> [--no-opt] [--format text|json]\n  qv plan-check <plan.json>\n  qv fmt <view.xml>\n  qv run <view.xml> --data <hits.tsv> [--group NAME] [--explain] [--analyze [--format text|json]] [--store DIR] [--stats-out FILE] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]\n  qv load <triples.ttl> --store <dir> [--repo NAME]\n  qv explain <view.xml> --data <hits.tsv> --item <id-or-suffix> [--spans]\n  qv profile <view.xml> --data <hits.tsv> [--runs N] [--folded out.txt]\n  qv serve <view.xml>... --addr HOST:PORT [--store DIR] [--workers N] [--queue N] [--keep-alive-max N] [--read-timeout-ms N] [--drift-window N] [--drift-threshold F] [--access-log FILE] [--slo-p99-ms N] [--slo-availability F]\n  qv telemetry-check <trace.jsonl> [metrics.txt] [--access-log access.jsonl] [--analyze analyze.json] [--stats-profile profile.json]\n  qv bench-check <BENCH_*.json|dir|--all>\n  qv library <catalog.xml> [--search TEXT]"
         .to_string()
 }
 
@@ -406,14 +408,20 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    write_telemetry(args, &engine)?;
+    write_telemetry(args, &engine, run)?;
     Ok(())
 }
 
-/// Handles `--trace-out` / `--metrics-out` after an execution.
-fn write_telemetry(args: &[String], engine: &QualityEngine) -> Result<(), String> {
+/// Handles `--trace-out` / `--metrics-out` / `--profile-out` after the
+/// execution `run`.
+fn write_telemetry(
+    args: &[String],
+    engine: &QualityEngine,
+    run: qurator_telemetry::RunId,
+) -> Result<(), String> {
+    let trace = || engine.ledger().trace(run).ok_or("no span trace was recorded");
     if let Some(path) = flag_value(args, "--trace-out") {
-        let trace = engine.last_trace().ok_or("no span trace was recorded")?;
+        let trace = trace()?;
         qurator_telemetry::export::write_trace_jsonl(&trace, std::path::Path::new(path))
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
         println!("\ntrace: {} span(s) -> {path}", trace.len());
@@ -427,8 +435,8 @@ fn write_telemetry(args: &[String], engine: &QualityEngine) -> Result<(), String
         println!("metrics -> {path}");
     }
     if let Some(path) = flag_value(args, "--profile-out") {
-        let trace = engine.last_trace().ok_or("no span trace was recorded")?;
-        std::fs::write(path, qurator_telemetry::Profile::from_traces([&trace]).to_folded())
+        let trace = trace()?;
+        std::fs::write(path, qurator_telemetry::Profile::from_traces([&*trace]).to_folded())
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
         println!("profile: folded stacks -> {path}");
     }
@@ -465,7 +473,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         wall += started.elapsed();
         let stats = engine.last_run_stats().ok_or("no run statistics were recorded")?;
         merged.merge(&stats);
-        folded.add_trace(&engine.last_trace().ok_or("no span trace was recorded")?);
+        folded.add_trace(&*engine.ledger().trace(run).ok_or("no span trace was recorded")?);
     }
     // the decayed profile now holds all N runs, so the plan's
     // `planned ~N rows` column reflects what this session observed
@@ -602,18 +610,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     return Err("--read-timeout-ms must be at least 1".into());
                 }
                 pool.read_timeout = std::time::Duration::from_millis(ms);
-                i += 2;
-            }
-            "--trace-capacity" => {
-                let v = flag_arg("--trace-capacity")?;
-                config.trace_capacity =
-                    v.parse().map_err(|_| format!("--trace-capacity {v:?} is not a number"))?;
-                i += 2;
-            }
-            "--sample-rate" => {
-                let v = flag_arg("--sample-rate")?;
-                config.sample_rate =
-                    v.parse().map_err(|_| format!("--sample-rate {v:?} is not a number"))?;
                 i += 2;
             }
             "--drift-window" => {
@@ -754,7 +750,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let dataset = tsv::read_dataset(&read_file(data_path)?)?;
     let engine = stock_engine()?;
     engine.set_provenance_enabled(true);
-    engine.execute_view(&spec, &dataset).map_err(|e| e.to_string())?;
+    let run = qurator_telemetry::RunId::mint();
+    engine.execute_view_run(&spec, &dataset, run).map_err(|e| e.to_string())?;
 
     let traces = engine.explain_item(needle);
     if traces.is_empty() {
@@ -763,11 +760,11 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             engine.ledger().items().join(", ")
         ));
     }
-    let span_trace = engine.last_trace();
+    let span_trace = engine.ledger().trace(run);
     for trace in &traces {
-        print!("{}", trace.render_with(if show_spans { span_trace.as_ref() } else { None }));
+        print!("{}", trace.render_with(if show_spans { span_trace.as_deref() } else { None }));
     }
-    write_telemetry(args, &engine)?;
+    write_telemetry(args, &engine, run)?;
     Ok(())
 }
 

@@ -14,7 +14,7 @@
 //! | GET    | `/`              | JSON index: views + endpoints            |
 //! | GET    | `/healthz`       | `ok`                                     |
 //! | GET    | `/metrics`       | Prometheus text exposition               |
-//! | GET    | `/traces/recent` | JSON-lines from the trace ring buffer    |
+//! | GET    | `/traces/recent` | JSON-lines of the newest runs' traces    |
 //! | GET    | `/drift`         | drift-monitor state + events, JSON       |
 //! | GET    | `/runs/<id>`     | correlation bundle for one run id        |
 //! | GET    | `/log/recent`    | JSON-lines from the access-log ring      |
@@ -27,12 +27,12 @@
 //!
 //! Every `POST /run/<view>` mints a [`RunId`] before the engine runs and
 //! echoes it in the `X-QV-Run-Id` response header (and the JSON body).
-//! The same id is stamped on the root span of the execution trace, the
-//! retained-trace metadata, the run's record in the engine's run ring
-//! (its observed plan-node stats and its decisions), and any drift
-//! threshold-crossing the run tripped — so `GET /runs/<id>` can
-//! reassemble the whole story of one request after the fact, and an
-//! access-log line is enough to start the chase.
+//! The same id keys the run's record in the engine's run ring (its span
+//! trace, drift events, observed plan-node stats and decisions, kept for
+//! the last 256 runs) and is stamped on the root span and the access-log
+//! line — so `GET /runs/<id>` reassembles the whole story of one request
+//! from one record after the fact, and an access-log line is enough to
+//! start the chase.
 //!
 //! ## Concurrency model
 //!
@@ -78,12 +78,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use qurator::ledger::RUN_CAPACITY;
 use qurator::prelude::*;
 use qurator::spec::ActionKind;
 use qurator_telemetry::json::escape;
-use qurator_telemetry::{
-    AccessLog, AccessRecord, RunId, SloConfig, SloTracker, TelemetryConfig, TraceRetainer,
-};
+use qurator_telemetry::{AccessLog, AccessRecord, RunId, SloConfig, SloTracker, TelemetryConfig};
 
 use crate::tsv;
 
@@ -120,7 +119,7 @@ impl Default for ServeConfig {
 }
 
 /// Observability knobs for one serve instance, on top of the
-/// [`TelemetryConfig`] retention settings.
+/// [`TelemetryConfig`] drift settings.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// File the structured access log is appended to (`--access-log`);
@@ -144,30 +143,28 @@ impl Default for ServeOptions {
 /// grow without bound as submissions stream in.
 const SERVE_LEDGER_CAPACITY: usize = 8192;
 
-/// Everything a request handler needs: the engine, its trace retainer,
-/// the access log, the SLO tracker and the views published at startup.
+/// Everything a request handler needs: the engine, the access log, the
+/// SLO tracker and the views published at startup.
 pub struct ServeState {
     engine: QualityEngine,
-    retainer: Arc<TraceRetainer>,
     access_log: Arc<AccessLog>,
     slo: SloTracker,
     views: BTreeMap<String, QualityViewSpec>,
 }
 
 impl ServeState {
-    /// Publishes `views` on `engine` and switches the engine to
-    /// continuous observability (bounded trace retention + drift
-    /// monitoring) per `config`. Decision provenance is always on while
-    /// serving — `GET /runs/<id>` correlates through the ledger — but
-    /// bounded to a budget of [`SERVE_LEDGER_CAPACITY`] items. Fails only when the
-    /// `--access-log` sink cannot be opened.
+    /// Publishes `views` on `engine` and switches on drift monitoring per
+    /// `config`. Decision provenance is always on while serving —
+    /// `GET /runs/<id>` serves each run's decisions from its record — but
+    /// bounded to a budget of [`SERVE_LEDGER_CAPACITY`] items. Fails only
+    /// when the `--access-log` sink cannot be opened.
     pub fn new(
         engine: QualityEngine,
         views: Vec<QualityViewSpec>,
         config: &TelemetryConfig,
         options: ServeOptions,
     ) -> Result<Self, String> {
-        let retainer = engine.enable_observability(config);
+        engine.enable_observability(config);
         engine.set_provenance_enabled(true);
         engine.ledger().set_trace_capacity(SERVE_LEDGER_CAPACITY);
         let access_log = Arc::new(match &options.access_log_path {
@@ -177,7 +174,7 @@ impl ServeState {
         });
         let slo = SloTracker::new(options.slo);
         let views = views.into_iter().map(|v| (v.name.clone(), v)).collect();
-        Ok(ServeState { engine, retainer, access_log, slo, views })
+        Ok(ServeState { engine, access_log, slo, views })
     }
 
     /// Names of the published views, sorted.
@@ -334,7 +331,7 @@ fn route_inner(
             Ok(limit) => Response {
                 status: 200,
                 content_type: "application/x-ndjson",
-                body: state.retainer.recent_jsonl(limit),
+                body: state.engine.ledger().recent_jsonl(limit),
                 retry_after: None,
                 run_id: None,
             },
@@ -375,46 +372,34 @@ fn route_inner(
     }
 }
 
-/// `GET /runs/<id>`: the correlation bundle for one run — the retained
-/// span trace (when the sampler kept it), the run's decision traces
-/// (built from its record while the item budget keeps them), any ledger
-/// events (drift crossings) it tripped, and the run's observed plan-node
-/// statistics (`"stats"`, the EXPLAIN ANALYZE counters — the bundle's
-/// one per-node section). 404 only when *nothing* references the id.
+/// `GET /runs/<id>`: the correlation bundle for one run, read from its
+/// one record in the run ring — the span trace (with the run's own span
+/// ids, which the decision traces name), the decision traces (built from
+/// the record while the item budget keeps them), the drift events the
+/// run published, and the run's observed plan-node statistics
+/// (`"stats"`, the EXPLAIN ANALYZE counters — the bundle's one per-node
+/// section). 404 once the run has left the ring.
 fn run_bundle(state: &ServeState, id: &str) -> Response {
     let Some(run) = RunId::parse(id) else {
         return Response::error(400, &format!("run id {id:?} is not 16 hex chars"));
     };
-    let retained = state.retainer.find_run(run);
-    let traces = state.engine.ledger().for_run(run);
-    let events = state.engine.ledger().events_for_run(run);
-    let stats = state.engine.run_stats(run);
-    if retained.is_none() && traces.is_empty() && events.is_empty() && stats.is_none() {
+    let Some(record) = state.engine.ledger().record(run) else {
         return Response::error(
             404,
-            &format!("run {run} is not referenced by any retained trace, ledger record or stats"),
+            &format!("run {run} is not among the last {RUN_CAPACITY} runs"),
         );
-    }
-    let trace_json = match &retained {
-        None => "null".to_string(),
-        Some(kept) => {
-            let spans: Vec<String> = kept.trace.to_jsonl().lines().map(str::to_string).collect();
-            format!(
-                "{{\"view\":\"{}\",\"reason\":\"{}\",\"root_duration_ns\":{},\"rejected\":{},\"spans\":[{}]}}",
-                escape(&kept.view),
-                kept.reason.as_str(),
-                kept.root_duration_ns,
-                kept.rejected,
-                spans.join(",")
-            )
-        }
     };
-    let stats_json = match stats {
+    let jsonl = record.trace.to_jsonl();
+    let spans: Vec<&str> = jsonl.lines().collect();
+    let trace_json =
+        format!("{{{},\"spans\":[{}]}}", record.trace_header_fields(), spans.join(","));
+    let stats_json = match &record.stats {
         Some(stats) => stats.to_json(),
         None => "null".to_string(),
     };
-    let ledger_json: Vec<String> = traces.iter().map(|t| t.to_json()).collect();
-    let events_json: Vec<String> = events
+    let ledger_json: Vec<String> = record.decision_traces().iter().map(|t| t.to_json()).collect();
+    let events_json: Vec<String> = record
+        .events
         .iter()
         .map(|e| {
             format!(
@@ -501,10 +486,10 @@ fn store_json(state: &ServeState) -> String {
 
 /// `POST /run/<view>`: parse the TSV body, mint a [`RunId`], enact the
 /// view under it, summarise the resulting groups. Rejections (for filter
-/// actions) are derived the same way the engine's retention metadata is:
-/// items in minus items out. The run id is echoed on every response that
-/// reached the engine — including engine errors, whose traces are
-/// retained and correlatable too.
+/// actions) are derived the same way the engine's run record counts
+/// them: items in minus items out. The run id is echoed on every
+/// response that reached the engine — including engine errors, whose
+/// runs leave a record too.
 fn run_view(state: &ServeState, view: &str, body: &str) -> Response {
     let Some(spec) = state.views.get(view) else {
         return Response::error(
@@ -1252,18 +1237,17 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert!(value.get("profile").is_none(), "{}", bundle.body);
     }
 
-    /// Regression: a run whose trace the sampler dropped still resolves
-    /// at `/runs/<id>`, and a later run of the same ids leaves it its own
-    /// decisions (the core test
-    /// `budget_evicted_decisions_leave_a_run_its_stats` covers a run held
-    /// through its stats alone).
+    /// An earlier run resolves at `/runs/<id>` after a later run of the
+    /// same ids, with its own trace, decisions and stats (the core test
+    /// `budget_evicted_decisions_leave_a_run_its_stats` covers a run whose
+    /// decisions the item budget evicted).
     #[test]
-    fn runs_resolve_through_held_stats_alone() {
+    fn an_earlier_run_keeps_its_trace_ledger_and_stats() {
         let engine = QualityEngine::with_proteomics_defaults().unwrap();
         let spec =
             qurator::xmlio::parse_quality_view(include_str!("../../../samples/splitter_view.xml"))
                 .unwrap();
-        let config = TelemetryConfig { sample_rate: 0.0, ..TelemetryConfig::default() };
+        let config = TelemetryConfig::default();
         let state = ServeState::new(engine, vec![spec], &config, ServeOptions::default()).unwrap();
         let path = "/run/pmf-confidence-split";
         let first = route(&state, "POST", path, DATA).run_id.expect("first run id");
@@ -1272,10 +1256,82 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         let bundle = route(&state, "GET", &format!("/runs/{first}"), "");
         assert_eq!(bundle.status, 200, "{}", bundle.body);
         let value = json::parse(&bundle.body).unwrap();
-        assert!(matches!(value.get("trace"), Some(json::Value::Null)), "{}", bundle.body);
+        let trace = value.get("trace").expect("trace section");
+        let root = &trace.get("spans").and_then(|v| v.as_array()).unwrap()[0];
+        let run_attr = root.get("attrs").and_then(|a| a.get("run_id")).and_then(|v| v.as_str());
+        assert_eq!(run_attr, Some(first.to_string().as_str()), "{}", bundle.body);
+        // a splitter rejects nothing: its non-matches form the default group
+        assert_eq!(trace.get("rejected").and_then(|v| v.as_u64()), Some(0));
+        assert_eq!(trace.get("error").and_then(|v| v.as_bool()), Some(false));
         assert_eq!(value.get("ledger").and_then(|v| v.as_array()).map(|l| l.len()), Some(2));
         let stats = value.get("stats").expect("stats section");
         assert_eq!(stats.get("run_id").and_then(|v| v.as_str()), Some(first.to_string().as_str()));
+    }
+
+    /// The span ids a bundle's decision traces name are ids of the
+    /// bundle's own trace, on every run and not only the first.
+    #[test]
+    fn bundle_ledger_spans_point_into_its_trace() {
+        let state = state();
+        route(&state, "POST", "/run/serve-test", DATA);
+        let second = route(&state, "POST", "/run/serve-test", DATA).run_id.unwrap();
+        let bundle = route(&state, "GET", &format!("/runs/{second}"), "");
+        let value = json::parse(&bundle.body).unwrap();
+        let ids: std::collections::BTreeSet<u64> = value
+            .get("trace")
+            .and_then(|t| t.get("spans"))
+            .and_then(|v| v.as_array())
+            .unwrap()
+            .iter()
+            .map(|s| s.get("id").and_then(|v| v.as_u64()).unwrap())
+            .collect();
+        let mut named = 0;
+        for trace in value.get("ledger").and_then(|v| v.as_array()).unwrap() {
+            for section in ["evidence", "assertions", "actions"] {
+                for record in trace.get(section).and_then(|v| v.as_array()).unwrap() {
+                    let span = record.get("span").and_then(|v| v.as_u64()).unwrap();
+                    assert!(ids.contains(&span), "span {span} not in the trace {ids:?}");
+                    named += 1;
+                }
+            }
+        }
+        assert!(named > 0, "{}", bundle.body);
+    }
+
+    /// Every run the ring holds answers with its trace: 300 posts from two
+    /// threads, and the last 256 run ids all resolve with a non-null
+    /// `trace`.
+    #[test]
+    fn the_last_256_runs_all_answer_with_a_trace() {
+        let state = state();
+        let runs = std::sync::Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..150 {
+                        let run = route(&state, "POST", "/run/serve-test", DATA).run_id.unwrap();
+                        runs.lock().unwrap().push(run);
+                    }
+                });
+            }
+        });
+        let runs = runs.into_inner().unwrap();
+        assert_eq!(runs.len(), 300);
+        // the ring's order is push order, which the two threads interleave
+        // freely; the newest 256 records are the ones it holds
+        let held: Vec<RunId> = runs
+            .iter()
+            .copied()
+            .filter(|run| state.engine.ledger().record(*run).is_some())
+            .collect();
+        assert_eq!(held.len(), RUN_CAPACITY);
+        for run in held {
+            let bundle = route(&state, "GET", &format!("/runs/{run}"), "");
+            assert_eq!(bundle.status, 200, "{}", bundle.body);
+            let value = json::parse(&bundle.body).unwrap();
+            let spans = value.get("trace").and_then(|t| t.get("spans")).and_then(|v| v.as_array());
+            assert!(spans.is_some_and(|s| !s.is_empty()), "{run}: {}", bundle.body);
+        }
     }
 
     /// Re-posting the same body leaves the first run's bundle with its
@@ -1358,7 +1414,7 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert!(ledger.iter().all(|t| {
             t.get("run_id").and_then(|v| v.as_str()) == Some(minted.to_string().as_str())
         }));
-        // the run rejected an item, so its trace was retained
+        // every run's trace lives in its record
         let trace = value.get("trace").unwrap();
         let spans = trace.get("spans").and_then(|v| v.as_array()).unwrap();
         assert!(!spans.is_empty());
@@ -1396,11 +1452,12 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert_eq!(groups[0].get("name").and_then(|v| v.as_str()), Some("keep"));
         assert_eq!(groups[0].get("count").and_then(|v| v.as_u64()), Some(1));
 
-        // the run rejected an item, so retention must have kept its trace
+        // the run's trace heads the recent-traces export
         let r = route(&state, "GET", "/traces/recent", "");
         assert_eq!(r.status, 200);
         assert!(qurator_telemetry::schema::validate_trace_jsonl(&r.body).unwrap() > 0);
-        assert!(r.body.contains("\"reason\":\"rejected\""), "{}", r.body);
+        assert!(r.body.starts_with("{\"type\":\"trace\",\"view\":\"serve-test\""), "{}", r.body);
+        assert!(r.body.contains("\"rejected\":1,\"error\":false"), "{}", r.body);
 
         // metrics include the serve-side series this request just recorded
         let r = route(&state, "GET", "/metrics", "");

@@ -202,12 +202,12 @@ fn run_id_correlates_request_trace_ledger_and_access_log() {
     assert!(head.starts_with("HTTP/1.1 200"), "{head}: {bundle}");
     let value = qurator_telemetry::json::parse(&bundle).expect("bundle parses");
     assert_eq!(value.get("run_id").and_then(|v| v.as_str()), Some(run_id.as_str()));
-    // the retained trace's root span carries the id as an attribute
+    // the run's trace: its root span carries the id as an attribute
     let spans = value
         .get("trace")
         .and_then(|t| t.get("spans"))
         .and_then(|s| s.as_array())
-        .expect("retained trace spans");
+        .expect("the run's trace spans");
     assert!(
         spans.iter().any(|s| {
             s.get("attrs")

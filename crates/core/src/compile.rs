@@ -78,10 +78,12 @@ pub fn compile_with(
 }
 
 /// Runs a compiled view over `dataset` on the wave-parallel enactor and
-/// decodes the action outputs. Pure with respect to the engine: nothing
-/// reaches its decision ledger, stats profiles, trace retainer or
-/// execution counters. Callers that want the operators' observed stats
-/// bind the plan themselves and drain [`exec::BoundPlan::stats`].
+/// decodes the action outputs. Pure with respect to the engine: the
+/// enactment leaves no record in its run ring (no span trace, stats or
+/// decisions) and touches neither its stats profiles nor its execution
+/// counters; the [`EnactmentReport`] is its only account. Callers that
+/// want the operators' observed stats bind the plan themselves and drain
+/// [`exec::BoundPlan::stats`].
 pub fn enact(
     workflow: &Workflow,
     spec: &QualityViewSpec,

@@ -5,10 +5,11 @@
 //! in-process (the "rapid prototyping" loop the paper motivates — edit
 //! conditions, re-run, observe): validate, plan, bind, then walk the bound
 //! plan node by node, recording spans and observed stats in-line. Each
-//! run leaves one record in the engine's run ring ([`crate::runs`]): its
-//! stats and, with provenance on, a columnar capture of its
-//! consolidated map and groups, from which [`QualityEngine::why`] and
-//! [`QualityEngine::ledger`] build decision traces when asked.
+//! run leaves one record in the engine's run ring ([`crate::ledger`]):
+//! its span trace, the drift events it published, its stats and, with
+//! provenance on, a columnar capture of its consolidated map and groups,
+//! from which [`QualityEngine::why`] and [`QualityEngine::ledger`] build
+//! decision traces when asked.
 //! `execute_view_with` selects a [`qurator_plan::PlanConfig`] (the
 //! unoptimized baseline) and `execute_view_run` takes a caller-minted
 //! [`RunId`].
@@ -36,9 +37,7 @@ use qurator_services::stdlib::{FieldCaptureAnnotator, StatClassifierAssertion, Z
 use qurator_services::{AnnotationService, AssertionService, DataSet, ServiceRegistry};
 use qurator_telemetry::span::{SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession};
 use qurator_telemetry::stats::{profile_file_name, view_key, RunStats, StatsProfile};
-use qurator_telemetry::{
-    DecisionTrace, LedgerEvent, RunId, TelemetryConfig, TraceMeta, TraceRetainer,
-};
+use qurator_telemetry::{DecisionTrace, LedgerEvent, RunId, TelemetryConfig};
 use qurator_workflow::Workflow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,32 +63,14 @@ impl ActionOutcome {
     }
 }
 
-/// Correlation context for one finished execution: the [`RunId`] minted
-/// at the entry point (a served request, a CLI invocation) plus the
-/// outcome facts the retainer's tail-sampling policy keys on. Built by
-/// the executor once a run finishes and handed to the observability
-/// sink so the retained trace, the ledger slice and any drift crossing
-/// all reference the same id.
-#[derive(Debug, Clone)]
-struct RunContext {
-    run_id: RunId,
-    view: String,
-    error: bool,
-    rejected: u64,
-}
-
 /// The engine.
 pub struct QualityEngine {
     iq: Arc<IqModel>,
     registry: Arc<ServiceRegistry>,
     catalog: Arc<RepositoryCatalog>,
     bindings: RwLock<BindingRegistry>,
-    /// The ring of run records behind run stats and decision provenance.
+    /// The ring of run records: traces, events, stats and decisions.
     ledger: RunLedger,
-    last_trace: RwLock<Option<SpanTrace>>,
-    /// Continuous-observability retention (None until
-    /// [`QualityEngine::enable_observability`]).
-    retainer: RwLock<Option<Arc<TraceRetainer>>>,
     /// This engine's cursor into the global drift monitor's event log.
     drift_cursor: RwLock<Option<u64>>,
     /// Observed-statistics collection switch (on by default; the
@@ -109,8 +90,6 @@ impl QualityEngine {
             registry: Arc::new(ServiceRegistry::new()),
             bindings: RwLock::new(BindingRegistry::new()),
             ledger: RunLedger::default(),
-            last_trace: RwLock::new(None),
-            retainer: RwLock::new(None),
             drift_cursor: RwLock::new(None),
             stats_enabled: AtomicBool::new(true),
             stats_profiles: RwLock::new(BTreeMap::new()),
@@ -225,12 +204,12 @@ impl QualityEngine {
         Ok(written)
     }
 
-    /// Records a finished run: folds its stats into the view's decayed
-    /// profile (persisting the profile when a store root is set), then
-    /// pushes the run's record onto the ring. A run whose node set
-    /// differs from the held profile's (an edited view) starts a fresh
-    /// profile under its new key.
-    fn note_run(&self, run: RunId, stats: RunStats, decisions: Option<Decisions>) {
+    /// Folds a finished run's stats into the view's decayed profile
+    /// (persisting the profile when a store root is set), and returns
+    /// them for the run's record; `None` when collection was off. A run
+    /// whose node set differs from the held profile's (an edited view)
+    /// starts a fresh profile under its new key.
+    fn fold_stats(&self, stats: RunStats) -> Option<RunStats> {
         let stats = (!stats.nodes.is_empty()).then_some(stats);
         if let Some(stats) = &stats {
             let key = view_key(&stats.view, stats.nodes.keys().map(|s| s.as_str()));
@@ -256,9 +235,7 @@ impl QualityEngine {
                 let _ = profile.save(&path);
             }
         }
-        if stats.is_some() || decisions.is_some() {
-            self.ledger.push(RunRecord { run_id: run, stats, decisions: decisions.map(Arc::new) });
-        }
+        stats
     }
 
     /// Projects the repository catalog to the facts the static analyzer
@@ -286,10 +263,10 @@ impl QualityEngine {
         self.bindings.read().iter().collect()
     }
 
-    /// The run ledger: the ring of recent run records that run stats and
-    /// decision provenance are read from. Decision capture is off by
-    /// default; enable it with [`QualityEngine::set_provenance_enabled`]
-    /// before an execution.
+    /// The run ledger: the ring of recent run records that traces, drift
+    /// events, run stats and decision provenance are read from. Decision
+    /// capture is off by default; enable it with
+    /// [`QualityEngine::set_provenance_enabled`] before an execution.
     pub fn ledger(&self) -> &RunLedger {
         &self.ledger
     }
@@ -313,64 +290,36 @@ impl QualityEngine {
     }
 
     /// The span trace of the most recent execution on this engine, if
-    /// any.
-    pub fn last_trace(&self) -> Option<SpanTrace> {
-        self.last_trace.read().clone()
+    /// any. A host that runs views concurrently reads its own run's trace
+    /// with `ledger().trace(run)` instead.
+    pub fn last_trace(&self) -> Option<Arc<SpanTrace>> {
+        self.ledger.last_trace()
     }
 
-    /// Switches the engine into continuous-observability mode: every
-    /// finished execution's trace is offered to a bounded, tail-sampled
-    /// [`TraceRetainer`], and the process-global drift monitor is
-    /// configured from `config.drift` (the QA operator path feeds it and
-    /// threshold crossings are republished into this engine's ledger).
-    /// Returns the retainer so hosts (`qv serve`) can export
-    /// `/traces/recent`.
-    pub fn enable_observability(&self, config: &TelemetryConfig) -> Arc<TraceRetainer> {
-        let retainer = Arc::new(TraceRetainer::new(config));
-        *self.retainer.write() = Some(retainer.clone());
+    /// Switches the engine into continuous-observability mode: the
+    /// process-global drift monitor is configured from `config.drift`
+    /// (the QA operator path feeds it, and each threshold crossing lands
+    /// in the record of the run that finished next).
+    pub fn enable_observability(&self, config: &TelemetryConfig) {
         qurator_telemetry::drift::global().configure(config.drift.clone());
-        retainer
     }
 
-    /// The active trace retainer, if observability is enabled.
-    pub fn retainer(&self) -> Option<Arc<TraceRetainer>> {
-        self.retainer.read().clone()
-    }
-
-    /// Hands a finished trace to the retainer (when observability is
-    /// on), republishes new drift crossings into the ledger, and stores
-    /// the trace as `last_trace`. Everything downstream of here carries
-    /// the context's run id.
-    fn observe_trace(&self, trace: SpanTrace, ctx: RunContext) {
-        if let Some(retainer) = self.retainer.read().clone() {
-            retainer.offer(
-                trace.clone(),
-                TraceMeta {
-                    view: ctx.view,
-                    run_id: ctx.run_id,
-                    error: ctx.error,
-                    rejected: ctx.rejected,
-                },
-            );
-        }
-        self.publish_drift_events(ctx.run_id);
-        *self.last_trace.write() = Some(trace);
-    }
-
-    /// Republishes drift threshold-crossings from the process-global
-    /// monitor into this engine's ledger, stamped with the run that
-    /// tripped them. Each engine keeps its own cursor: the monitor's
-    /// event log has broadcast semantics, so several engines (or tests)
-    /// consume it independently.
-    fn publish_drift_events(&self, run: RunId) {
+    /// The drift threshold-crossings the process-global monitor logged
+    /// since this engine last looked, stamped with the run that is
+    /// finishing. Each engine keeps its own cursor: the monitor's event
+    /// log has broadcast semantics, so several engines (or tests) consume
+    /// it independently.
+    fn drift_events(&self, run: RunId) -> Vec<LedgerEvent> {
         let monitor = qurator_telemetry::drift::global();
         if !monitor.enabled() {
-            return;
+            return Vec::new();
         }
         let mut cursor = self.drift_cursor.write();
-        for event in monitor.events_since(*cursor) {
-            *cursor = Some(event.seq);
-            self.ledger.record_event(LedgerEvent {
+        let events = monitor.events_since(*cursor);
+        *cursor = events.last().map(|e| e.seq).or(*cursor);
+        events
+            .into_iter()
+            .map(|event| LedgerEvent {
                 kind: Arc::from("qa.drift.threshold"),
                 subject: Arc::from(event.assertion.as_str()),
                 detail: format!(
@@ -379,8 +328,8 @@ impl QualityEngine {
                 ),
                 seq: event.seq,
                 run_id: Some(run),
-            });
-        }
+            })
+            .collect()
     }
 
     /// Registers an annotation service and binds its concept.
@@ -576,9 +525,9 @@ impl QualityEngine {
         self.execute(spec, dataset, config, RunId::mint())
     }
 
-    /// Direct interpretation under a caller-minted run id: the root
-    /// `view:` span, the retained trace, the ledger's decision traces and
-    /// any drift crossing this run trips all carry `run`.
+    /// Direct interpretation under a caller-minted run id: the run's
+    /// record is keyed by `run`, and its root `view:` span, decision
+    /// traces and drift events all carry it.
     pub fn execute_view_run(
         &self,
         spec: &QualityViewSpec,
@@ -597,8 +546,7 @@ impl QualityEngine {
     ///
     /// The trace is always finished: on an error the `view:` span is
     /// tagged with the error text, remaining open spans are closed at the
-    /// failure instant, and the trace still reaches the retainer (error
-    /// traces are always kept) and `last_trace`.
+    /// failure instant, and the trace still lands in the run's record.
     fn execute(
         &self,
         spec: &QualityViewSpec,
@@ -622,19 +570,18 @@ impl QualityEngine {
         rec.attr(view_span, "mode", if plan.optimized { "optimized" } else { "baseline" });
 
         let result = self.run_physical(&plan, &bound, dataset, &mut rec, view_span);
-        let (result, decisions, error, rejected) = match result {
-            Ok((groups, rejected, decisions)) => (Ok(groups), decisions, false, rejected),
+        let (result, decisions, rejected) = match result {
+            Ok((groups, rejected, decisions)) => (Ok(groups), decisions.map(Arc::new), rejected),
             Err(e) => {
                 rec.attr(view_span, "error", e.to_string());
-                (Err(e), None, true, 0)
+                (Err(e), None, 0)
             }
         };
         rec.attr(view_span, "rejected", rejected as usize);
-        // push the run's record before the release: long-lived
-        // allocations made right after the caches are freed land in the
-        // freed heap, fragment it and raise the peak RSS of later runs
-        let stats = bound.stats.drain(&plan.view, Some(run), dataset.len() as u64);
-        self.note_run(run, stats, decisions);
+        // fold the stats before the release: long-lived allocations made
+        // right after the caches are freed land in the freed heap,
+        // fragment it and raise the peak RSS of later runs
+        let stats = self.fold_stats(bound.stats.drain(&plan.view, Some(run), dataset.len() as u64));
         // on the error path, closes whichever node or phase span the
         // failure interrupted
         rec.end_open_except(view_span);
@@ -643,11 +590,16 @@ impl QualityEngine {
         drop(bound);
         rec.end(release);
         rec.end_open();
-        let trace = SpanTrace::from_spans(rec.finish());
-        self.observe_trace(
-            trace,
-            RunContext { run_id: run, view: plan.view.clone(), error, rejected },
-        );
+        self.ledger.push(RunRecord {
+            run_id: run,
+            view: Arc::from(plan.view.as_str()),
+            error: result.is_err(),
+            rejected,
+            trace: Arc::new(SpanTrace::from_spans(rec.finish())),
+            events: self.drift_events(run),
+            stats,
+            decisions,
+        });
         result.map(|groups| ActionOutcome { groups })
     }
 
@@ -718,7 +670,7 @@ impl QualityEngine {
         // decision provenance: one columnar pass over the consolidated
         // map; traces are built from it only when a reader asks. The span
         // is recorded unconditionally — `qv explain --spans` and the
-        // retained-trace exports rely on the interpreter's trace shape
+        // trace exports rely on the interpreter's trace shape
         // being identical across runs, whether or not the run captured
         // its decisions and whether or not any item survived an action;
         // the `recorded` attribute says which mode this run was in.
@@ -731,9 +683,8 @@ impl QualityEngine {
             .then(|| Decisions::capture(plan, &map, &groups, enrich_span.0, &assert_spans, &acts));
         rec.end(prov_span);
 
-        // rejected tally for the retainer's tail-sampling policy (a
-        // splitter's non-matches land in its default group — an output,
-        // not a rejection)
+        // rejected tally for the run's record (a splitter's non-matches
+        // land in its default group — an output, not a rejection)
         let mut rejected = 0u64;
         for (act, (_, range)) in plan.actions.iter().zip(&acts) {
             if matches!(act.kind, ActKind::Filter { .. }) {
@@ -1052,11 +1003,14 @@ mod tests {
         let spec = QualityViewSpec::paper_example();
         let (first, second) = (RunId::mint(), RunId::mint());
         engine.execute_view_run(&spec, &imprint_dataset(), first).unwrap();
-        assert_eq!(engine.ledger().for_run(first).len(), 5);
+        assert_eq!(engine.ledger().record(first).unwrap().decision_traces().len(), 5);
         engine.execute_view_run(&spec, &imprint_dataset(), second).unwrap();
-        assert!(engine.ledger().for_run(first).is_empty(), "the budget holds one run");
+        assert!(
+            engine.ledger().record(first).unwrap().decision_traces().is_empty(),
+            "the budget holds one run"
+        );
         assert_eq!(engine.run_stats(first).unwrap().run_id, Some(first));
-        assert_eq!(engine.ledger().for_run(second).len(), 5);
+        assert_eq!(engine.ledger().record(second).unwrap().decision_traces().len(), 5);
     }
 
     #[test]
@@ -1091,26 +1045,28 @@ mod tests {
 
     #[test]
     fn rejecting_runs_are_always_retained() {
-        use qurator_telemetry::KeepReason;
+        // every run keeps its trace in its record, whether it rejected
+        // anything or not
         let engine = QualityEngine::with_proteomics_defaults().unwrap();
-        let retainer = engine.enable_observability(&TelemetryConfig {
-            sample_rate: 0.0,
-            ..TelemetryConfig::default()
-        });
         let mut spec = QualityViewSpec::paper_example();
         spec.actions[0].kind = ActionKind::Filter { condition: "ScoreClass in q:high".into() };
-        engine.execute_view(&spec, &imprint_dataset()).unwrap();
-        assert_eq!(retainer.resident(), 1);
-        let kept = &retainer.recent(1)[0];
-        assert_eq!(kept.reason, KeepReason::Rejected);
-        assert!(kept.rejected > 0);
-        assert_eq!(kept.view, "ispider-pmf-quality");
-        kept.trace.validate().unwrap();
-        // a run that rejects nothing is dropped at sample_rate 0
+        let rejecting = RunId::mint();
+        engine.execute_view_run(&spec, &imprint_dataset(), rejecting).unwrap();
         spec.actions[0].kind =
             ActionKind::Filter { condition: "ScoreClass in q:high, q:mid, q:low".into() };
-        engine.execute_view(&spec, &imprint_dataset()).unwrap();
-        assert_eq!(retainer.resident(), 1);
+        let keeping = RunId::mint();
+        engine.execute_view_run(&spec, &imprint_dataset(), keeping).unwrap();
+
+        let kept = engine.ledger().record(rejecting).unwrap();
+        assert!(kept.rejected > 0);
+        assert!(!kept.error);
+        assert_eq!(kept.view.as_ref(), "ispider-pmf-quality");
+        kept.trace.validate().unwrap();
+        assert_eq!(engine.ledger().record(keeping).unwrap().rejected, 0);
+        assert!(Arc::ptr_eq(
+            &engine.last_trace().unwrap(),
+            &engine.ledger().trace(keeping).unwrap()
+        ));
     }
 
     struct FailingAssertion;
@@ -1151,14 +1107,14 @@ mod tests {
             name: "keep".into(),
             kind: ActionKind::Filter { condition: "T > 0".into() },
         });
-        let retainer = engine.enable_observability(&TelemetryConfig {
-            sample_rate: 0.0,
-            ..TelemetryConfig::default()
-        });
-        let err = engine.execute_view(&spec, &imprint_dataset()).unwrap_err();
+        let run = RunId::mint();
+        let err = engine.execute_view_run(&spec, &imprint_dataset(), run).unwrap_err();
         assert!(err.to_string().contains("injected failure"), "{err}");
-        // the interrupted trace is closed, tagged, and always retained
-        let trace = engine.last_trace().expect("trace survives the failure");
+        // the interrupted trace is closed, tagged, and kept in the run's
+        // record
+        let record = engine.ledger().record(run).expect("the failed run leaves a record");
+        assert!(record.error);
+        let trace = record.trace;
         trace.validate().expect("every span closed on the error path");
         let root = trace.roots().next().unwrap();
         assert!(root.attr("error").is_some(), "view span carries the error");
@@ -1167,8 +1123,6 @@ mod tests {
         assert_eq!(release.len(), 1, "the failed run still frees its bind in a span");
         let failed = trace.spans().iter().find(|s| s.name == "node:failing").unwrap();
         assert!(failed.end_ns.unwrap() <= release[0].start_ns);
-        assert_eq!(retainer.resident(), 1);
-        assert_eq!(retainer.recent(1)[0].reason, qurator_telemetry::KeepReason::Error);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! The engine's per-run memory: one bounded ring of [`RunRecord`]s.
 //!
-//! A record holds what one finished run leaves behind: its observed
-//! plan-node statistics and, when decision provenance is on, a columnar
-//! capture of its consolidated annotation map (paper §4.1, `Amap : d ↦
-//! {(e, v)}` plus the QA tags) and of the groups its actions cut from it.
-//! Every provenance answer is a projection of one record, built when a
-//! reader asks: [`RunLedger::why`], [`RunLedger::find`] (`qv explain`),
-//! [`RunLedger::for_run`] (`GET /runs/<id>`) and
-//! [`RunLedger::annotation_map`] (`qv run --explain`).
+//! A record holds what one finished run leaves behind: its span trace,
+//! the drift events it published, its observed plan-node statistics and,
+//! when decision provenance is on, a columnar capture of its consolidated
+//! annotation map (paper §4.1, `Amap : d ↦ {(e, v)}` plus the QA tags)
+//! and of the groups its actions cut from it. Every answer about a run
+//! reads its one record: [`RunLedger::record`] (`GET /runs/<id>`),
+//! [`RunLedger::recent_jsonl`] (`GET /traces/recent`), and the decision
+//! traces built when a reader asks, [`RunLedger::why`],
+//! [`RunLedger::find`] (`qv explain`) and [`RunLedger::annotation_map`]
+//! (`qv run --explain`).
 //!
-//! The ring has two bounds. It keeps at most [`RUN_CAPACITY`] records,
-//! and [`RunLedger::set_trace_capacity`] sets an item budget over the
-//! decisions it holds: past the budget the oldest records lose their
-//! decisions but keep their stats, and the newest run is always kept
+//! The ring has two bounds. It keeps at most [`RUN_CAPACITY`] records, so
+//! a run's trace, events and stats live exactly as long as its record.
+//! [`RunLedger::set_trace_capacity`] sets an item budget over the
+//! decisions the records hold: past the budget the oldest records lose
+//! their decisions but keep the rest, and the newest run is always kept
 //! whole.
 
 use std::borrow::Cow;
@@ -25,23 +28,36 @@ use parking_lot::RwLock;
 use qurator_annotations::{AnnotationMap, EvidenceValue};
 use qurator_plan::{ActKind, PhysicalPlan};
 use qurator_rdf::term::{Iri, Term};
+use qurator_telemetry::json::escape;
+use qurator_telemetry::span::SpanTrace;
 use qurator_telemetry::{
     ActionRecord, AssertionRecord, DecisionTrace, EvidenceRecord, LedgerEvent, RunId, RunStats,
 };
 
 use crate::operators::GroupResult;
 
-/// How many recent runs the ring keeps (stats and decisions alike).
+/// How many recent runs the ring keeps.
 pub const RUN_CAPACITY: usize = 256;
 
-/// How many run-level events the ledger keeps.
-const EVENT_CAPACITY: usize = 1024;
-
-/// What one finished run leaves behind.
-pub(crate) struct RunRecord {
-    pub(crate) run_id: RunId,
+/// What one finished run leaves behind. [`RunLedger::record`] and
+/// [`RunLedger::recent`] hand out copies; the span trace and the
+/// decisions are shared, not copied.
+#[derive(Clone)]
+pub struct RunRecord {
+    pub run_id: RunId,
+    /// The view the run executed.
+    pub view: Arc<str>,
+    /// Whether the run failed.
+    pub error: bool,
+    /// How many items the run's filter actions rejected.
+    pub rejected: u64,
+    /// The run's finished span trace. Its span ids are the ones the
+    /// run's decision traces name.
+    pub trace: Arc<SpanTrace>,
+    /// The drift threshold crossings published when the run finished.
+    pub events: Vec<LedgerEvent>,
     /// Observed plan-node statistics; `None` when collection was off.
-    pub(crate) stats: Option<RunStats>,
+    pub stats: Option<RunStats>,
     /// `None` when provenance was off, the run failed, or the item budget
     /// evicted the decisions.
     pub(crate) decisions: Option<Arc<Decisions>>,
@@ -50,6 +66,26 @@ pub(crate) struct RunRecord {
 impl RunRecord {
     fn decision_items(&self) -> usize {
         self.decisions.as_ref().map_or(0, |d| d.items.len())
+    }
+
+    /// The run's decision traces, sorted by item. Empty when the record
+    /// holds no decisions.
+    pub fn decision_traces(&self) -> Vec<DecisionTrace> {
+        self.decisions.as_ref().map_or_else(Vec::new, |d| d.traces(self.run_id))
+    }
+
+    /// The trace header fields that `GET /runs/<id>` and
+    /// `GET /traces/recent` both render: `"view":…,"rejected":…,
+    /// "error":…,"root_duration_ns":…`, the last the wallclock of the
+    /// trace's root span.
+    pub fn trace_header_fields(&self) -> String {
+        let root_ns = self.trace.roots().filter_map(|s| s.duration_ns()).max().unwrap_or_default();
+        format!(
+            "\"view\":\"{}\",\"rejected\":{},\"error\":{},\"root_duration_ns\":{root_ns}",
+            escape(&self.view),
+            self.rejected,
+            self.error,
+        )
     }
 }
 
@@ -209,6 +245,14 @@ impl Decisions {
         }
     }
 
+    /// Every item's decision trace, sorted by item.
+    fn traces(&self, run: RunId) -> Vec<DecisionTrace> {
+        let mut out: Vec<DecisionTrace> =
+            (0..self.items.len()).map(|i| self.trace(run, i)).collect();
+        out.sort_by(|a, b| a.item.cmp(&b.item));
+        out
+    }
+
     /// The consolidated map the run's actions saw, rebuilt row by row.
     fn annotation_map(&self) -> AnnotationMap {
         let mut map = AnnotationMap::for_items(self.items.iter().cloned());
@@ -264,13 +308,12 @@ impl Ring {
     }
 }
 
-/// The engine's run ledger: the ring of run records, the
-/// decision-provenance switch, and the run-level event log.
+/// The engine's run ledger: the ring of run records and the
+/// decision-provenance switch.
 #[derive(Default)]
 pub struct RunLedger {
     enabled: AtomicBool,
     ring: RwLock<Ring>,
-    events: RwLock<Vec<LedgerEvent>>,
 }
 
 impl RunLedger {
@@ -286,8 +329,8 @@ impl RunLedger {
 
     /// Sets the item budget over retained decisions, at once. `0` =
     /// unbounded, the default. A long-lived `qv serve` engine sets this
-    /// so always-on provenance cannot grow without limit; stats stay for
-    /// the last [`RUN_CAPACITY`] runs regardless.
+    /// so always-on provenance cannot grow without limit; the rest of a
+    /// record stays for the last [`RUN_CAPACITY`] runs regardless.
     pub fn set_trace_capacity(&self, capacity: usize) {
         let mut ring = self.ring.write();
         ring.budget = capacity;
@@ -306,6 +349,22 @@ impl RunLedger {
         ring.enforce_budget();
     }
 
+    /// Reads the newest record of `run` under the ring's lock.
+    fn read_run<T>(&self, run: RunId, read: impl FnOnce(&RunRecord) -> T) -> Option<T> {
+        self.ring.read().records.iter().rev().find(|r| r.run_id == run).map(read)
+    }
+
+    /// The record of a run still in the ring: everything `GET /runs/<id>`
+    /// serves, from one lookup.
+    pub fn record(&self, run: RunId) -> Option<RunRecord> {
+        self.read_run(run, RunRecord::clone)
+    }
+
+    /// The newest `limit` records, newest first.
+    pub fn recent(&self, limit: usize) -> Vec<RunRecord> {
+        self.ring.read().records.iter().rev().take(limit).cloned().collect()
+    }
+
     /// Observed statistics of the newest run that recorded any.
     pub fn last_stats(&self) -> Option<RunStats> {
         self.ring.read().records.iter().rev().find_map(|r| r.stats.clone())
@@ -313,8 +372,54 @@ impl RunLedger {
 
     /// Observed statistics of a run still in the ring.
     pub fn stats(&self, run: RunId) -> Option<RunStats> {
-        let ring = self.ring.read();
-        ring.records.iter().rev().find(|r| r.run_id == run).and_then(|r| r.stats.clone())
+        self.read_run(run, |r| r.stats.clone()).flatten()
+    }
+
+    /// The span trace of the newest run.
+    pub fn last_trace(&self) -> Option<Arc<SpanTrace>> {
+        self.ring.read().records.back().map(|r| r.trace.clone())
+    }
+
+    /// The span trace of a run still in the ring.
+    pub fn trace(&self, run: RunId) -> Option<Arc<SpanTrace>> {
+        self.read_run(run, |r| r.trace.clone())
+    }
+
+    /// `GET /traces/recent`: the newest `limit` runs, newest first, each
+    /// a `{"type":"trace",...}` header line followed by its span lines.
+    /// Every trace numbers its spans from 1, so each trace's ids are
+    /// offset past the previous trace's here, and the document keeps
+    /// [`qurator_telemetry::schema::validate_trace_jsonl`]'s unique-id
+    /// rule. `GET /runs/<id>` serves a run's own ids.
+    pub fn recent_jsonl(&self, limit: usize) -> String {
+        // headers and trace handles under the lock, span lines after it
+        let traces: Vec<(String, Arc<SpanTrace>)> = self
+            .ring
+            .read()
+            .records
+            .iter()
+            .rev()
+            .take(limit)
+            .map(|r| {
+                let header = format!(
+                    "{{\"type\":\"trace\",{},\"run_id\":\"{}\",\"spans\":{}}}",
+                    r.trace_header_fields(),
+                    r.run_id,
+                    r.trace.len()
+                );
+                (header, r.trace.clone())
+            })
+            .collect();
+        let mut out = String::new();
+        let mut offset = 0;
+        for (header, trace) in traces {
+            out.push_str(&header);
+            out.push('\n');
+            trace.write_jsonl(&mut out, offset);
+            // spans are ordered by id, so the last holds the largest
+            offset += trace.spans().last().map_or(0, |s| s.id.0);
+        }
+        out
     }
 
     /// The retained decisions, newest run first.
@@ -349,24 +454,12 @@ impl RunLedger {
         out
     }
 
-    /// The decision traces a run produced, sorted by item: what
-    /// `GET /runs/<id>` serves. Empty once the budget evicted them.
-    pub fn for_run(&self, run: RunId) -> Vec<DecisionTrace> {
-        let Some((_, d)) = self.retained().into_iter().find(|(r, _)| *r == run) else {
-            return Vec::new();
-        };
-        let mut out: Vec<DecisionTrace> = (0..d.items.len()).map(|i| d.trace(run, i)).collect();
-        out.sort_by(|a, b| a.item.cmp(&b.item));
-        out
-    }
-
     /// The consolidated map of a run whose decisions are retained.
     pub fn annotation_map(&self, run: RunId) -> Option<AnnotationMap> {
-        let retained = self.retained();
-        Some(retained.iter().find(|(r, _)| *r == run)?.1.annotation_map())
+        Some(self.read_run(run, |r| r.decisions.clone())??.annotation_map())
     }
 
-    /// All item ids with a retained trace, sorted.
+    /// All item ids with retained decisions, sorted.
     pub fn items(&self) -> Vec<String> {
         let retained = self.retained();
         let keys: BTreeSet<Cow<str>> =
@@ -374,7 +467,7 @@ impl RunLedger {
         keys.into_iter().map(Cow::into_owned).collect()
     }
 
-    /// Number of distinct items with a retained trace.
+    /// Number of distinct items with retained decisions.
     pub fn len(&self) -> usize {
         self.items().len()
     }
@@ -383,35 +476,50 @@ impl RunLedger {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Appends a run-level event (drift crossings etc.). Not gated on the
-    /// provenance switch: events are rare and always worth keeping. The
-    /// oldest is dropped past [`EVENT_CAPACITY`].
-    pub fn record_event(&self, event: LedgerEvent) {
-        let mut events = self.events.write();
-        if events.len() >= EVENT_CAPACITY {
-            events.remove(0);
-        }
-        events.push(event);
-    }
-
-    /// All recorded run-level events, in recording order.
-    pub fn events(&self) -> Vec<LedgerEvent> {
-        self.events.read().clone()
-    }
-
-    /// The run-level events stamped with a specific run.
-    pub fn events_for_run(&self, run: RunId) -> Vec<LedgerEvent> {
-        self.events.read().iter().filter(|e| e.run_id == Some(run)).cloned().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qurator_telemetry::schema::validate_trace_jsonl;
+    use qurator_telemetry::span::{AttrValue, Span, SpanId, SpanKind};
 
     fn term(i: usize) -> Term {
         Term::iri(format!("urn:lsid:t:h:{i:04}"))
+    }
+
+    /// A finished two-span trace, its root stamped with the run as the
+    /// engine stamps it. Built by hand: these tests read no clock.
+    fn trace(run: RunId) -> Arc<SpanTrace> {
+        let span = |id: u64, parent: Option<u64>, name: &str, kind| Span {
+            id: SpanId(id),
+            parent: parent.map(SpanId),
+            name: name.into(),
+            kind,
+            start_ns: id,
+            end_ns: Some(10 - id),
+            attrs: Vec::new(),
+        };
+        let mut root = span(1, None, "view:v", SpanKind::View);
+        root.attrs.push(("run_id", AttrValue::from(run.to_string())));
+        Arc::new(SpanTrace::from_spans(vec![
+            root,
+            span(2, Some(1), "phase:release", SpanKind::Phase),
+        ]))
+    }
+
+    /// A record holding only a trace.
+    fn bare(run: RunId) -> RunRecord {
+        RunRecord {
+            run_id: run,
+            view: "v".into(),
+            error: false,
+            rejected: 0,
+            trace: trace(run),
+            events: Vec::new(),
+            stats: None,
+            decisions: None,
+        }
     }
 
     /// A record whose decisions cover `items` bare items.
@@ -424,14 +532,20 @@ mod tests {
             groups: Vec::new(),
         };
         RunRecord {
-            run_id,
             stats: Some(RunStats { run_id: Some(run_id), ..RunStats::default() }),
             decisions: Some(Arc::new(decisions)),
+            ..bare(run_id)
         }
     }
 
     fn records(ledger: &RunLedger) -> usize {
         ledger.ring.read().records.len()
+    }
+
+    /// The decision traces a run's record holds; empty when the run left
+    /// the ring or holds none.
+    fn decisions_of(ledger: &RunLedger, run: RunId) -> Vec<DecisionTrace> {
+        ledger.record(run).map_or_else(Vec::new, |r| r.decision_traces())
     }
 
     const ITEM: &str = "urn:lsid:t:h:1";
@@ -465,7 +579,7 @@ mod tests {
                 members: vec![1],
             }],
         };
-        RunRecord { run_id: run, stats: None, decisions: Some(Arc::new(decisions)) }
+        RunRecord { decisions: Some(Arc::new(decisions)), ..bare(run) }
     }
 
     #[test]
@@ -487,7 +601,7 @@ mod tests {
         engine.execute_view_run(&QualityViewSpec::paper_example(), &dataset, run).unwrap();
         assert!(engine.ledger().is_empty());
         assert!(engine.why("urn:lsid:pedro.man.ac.uk:hit:H1").is_none());
-        assert!(engine.ledger().for_run(run).is_empty());
+        assert!(engine.ledger().record(run).unwrap().decision_traces().is_empty());
         // the run still leaves its stats behind
         assert_eq!(engine.run_stats(run).unwrap().run_id, Some(run));
     }
@@ -518,21 +632,42 @@ mod tests {
         let ledger = RunLedger::default();
         let (first, second) = (RunId::from_u64(1), RunId::from_u64(2));
         ledger.push(sample_record(first));
-        ledger.push(record(2, 7..8));
-        assert_eq!(ledger.for_run(first).len(), 1);
-        assert_eq!(ledger.for_run(first)[0].item, ITEM);
-        assert_eq!(ledger.for_run(second)[0].item, "urn:lsid:t:h:0007");
-        assert!(ledger.for_run(RunId::from_u64(3)).is_empty());
-        // events slice the same way
-        ledger.record_event(LedgerEvent {
+        let event = LedgerEvent {
             kind: "qa.drift.threshold".into(),
             subject: "S".into(),
             detail: "drifted".into(),
             seq: 0,
             run_id: Some(second),
-        });
-        assert!(ledger.events_for_run(first).is_empty());
-        assert_eq!(ledger.events_for_run(second).len(), 1);
+        };
+        ledger.push(RunRecord { events: vec![event], ..record(2, 7..8) });
+        assert_eq!(decisions_of(&ledger, first).len(), 1);
+        assert_eq!(decisions_of(&ledger, first)[0].item, ITEM);
+        assert!(ledger.record(RunId::from_u64(3)).is_none());
+        // one lookup answers with the whole record, events included
+        let whole = ledger.record(second).unwrap();
+        assert_eq!(whole.decision_traces()[0].item, "urn:lsid:t:h:0007");
+        assert_eq!(whole.events.len(), 1);
+        assert!(ledger.record(first).unwrap().events.is_empty());
+        assert!(Arc::ptr_eq(&whole.trace, &ledger.trace(second).unwrap()));
+    }
+
+    #[test]
+    fn recent_jsonl_offsets_span_ids_per_trace() {
+        let ledger = RunLedger::default();
+        for run in 1..=5 {
+            ledger.push(record(run, 0..1));
+        }
+        let newest = RunId::from_u64(5);
+        let jsonl = ledger.recent_jsonl(5);
+        // 5 traces × 2 spans validate as one document: the export offsets
+        // each trace's ids past the previous trace's
+        assert_eq!(validate_trace_jsonl(&jsonl).unwrap(), 10);
+        let first_header = jsonl.lines().next().unwrap();
+        assert!(first_header.contains(&format!("\"run_id\":\"{newest}\"")), "newest first");
+        assert!(first_header.contains("\"error\":false"), "{first_header}");
+        // the records keep their own ids, which their decisions name
+        assert_eq!(ledger.trace(RunId::from_u64(1)).unwrap().spans()[0].id, SpanId(1));
+        assert_eq!(ledger.recent_jsonl(2).lines().filter(|l| l.contains("\"trace\"")).count(), 2);
     }
 
     #[test]
@@ -540,14 +675,13 @@ mod tests {
         let ledger = RunLedger::default();
         ledger.set_trace_capacity(4);
         let one_item = |run: u64, item: u64| RunRecord {
-            run_id: RunId::from_u64(run),
-            stats: None,
             decisions: Some(Arc::new(Decisions {
                 items: vec![Term::iri(format!("item:{item}"))],
                 evidence: Vec::new(),
                 tags: Vec::new(),
                 groups: Vec::new(),
             })),
+            ..bare(RunId::from_u64(run))
         };
         for i in 0..10 {
             ledger.push(one_item(i, i));
@@ -569,7 +703,7 @@ mod tests {
         let ledger = RunLedger::default();
         ledger.push(record(1, 0..3));
         ledger.push(record(2, 0..3));
-        let first = ledger.for_run(RunId::from_u64(1));
+        let first = decisions_of(&ledger, RunId::from_u64(1));
         assert_eq!(first.len(), 3);
         assert!(first.iter().all(|t| t.run_id == Some(RunId::from_u64(1))));
         // lookups by item answer from the newest run, and count items once
@@ -585,13 +719,16 @@ mod tests {
         ledger.push(record(1, 0..3));
         ledger.push(record(2, 3..6));
         let evicted = RunId::from_u64(1);
-        assert!(ledger.for_run(evicted).is_empty(), "over budget: the older run's decisions go");
+        assert!(
+            decisions_of(&ledger, evicted).is_empty(),
+            "over budget: the older run's decisions go"
+        );
         assert_eq!(ledger.stats(evicted).unwrap().run_id, Some(evicted));
         assert_eq!(ledger.len(), 3);
         // the newest run is kept whole even when it alone exceeds the budget
         ledger.push(record(3, 0..10));
-        assert_eq!(ledger.for_run(RunId::from_u64(3)).len(), 10);
-        assert!(ledger.for_run(RunId::from_u64(2)).is_empty());
+        assert_eq!(decisions_of(&ledger, RunId::from_u64(3)).len(), 10);
+        assert!(decisions_of(&ledger, RunId::from_u64(2)).is_empty());
         assert_eq!(records(&ledger), 3);
         assert_eq!(ledger.last_stats().unwrap().run_id, Some(RunId::from_u64(3)));
         // shrinking the budget applies at once, still sparing the newest
@@ -633,5 +770,112 @@ mod tests {
         let newest = ring.records.back().unwrap().decision_items();
         assert!(held - newest <= BUDGET, "{held} items held, {newest} in the newest run");
         assert!(ring.records.iter().all(|r| r.stats.is_some()), "stats outlive decisions");
+        // every record keeps the trace it was pushed with
+        for r in &ring.records {
+            let root = r.trace.roots().next().expect("root span");
+            assert_eq!(root.attr("run_id"), Some(&AttrValue::from(r.run_id.to_string())));
+        }
+    }
+
+    /// The export of `GET /traces/recent`, rendered while other threads
+    /// push, is schema-valid at every snapshot: never a torn header or a
+    /// span line of a half-pushed record.
+    #[test]
+    fn recent_jsonl_stays_schema_valid_under_concurrent_push() {
+        const WRITERS: u64 = 2;
+        const PUSHES: u64 = 100;
+        let ledger = RunLedger::default();
+        // the reader starts exporting when every writer is halfway, so
+        // its snapshots race the second half of the pushes
+        let halfway = std::sync::Barrier::new(WRITERS as usize + 1);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                halfway.wait();
+                loop {
+                    let finished = done.load(Ordering::Relaxed);
+                    let jsonl = ledger.recent_jsonl(32);
+                    validate_trace_jsonl(&jsonl).expect("mid-flight export schema-valid");
+                    if finished {
+                        break;
+                    }
+                }
+            });
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (ledger, halfway) = (&ledger, &halfway);
+                    scope.spawn(move || {
+                        for i in 0..PUSHES {
+                            if i == PUSHES / 2 {
+                                halfway.wait();
+                            }
+                            ledger.push(bare(RunId::from_u64((w << 32) | (i + 1))));
+                        }
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().expect("writer thread");
+            }
+            done.store(true, Ordering::Relaxed);
+            reader.join().expect("reader thread");
+        });
+        let jsonl = ledger.recent_jsonl(usize::MAX);
+        assert_eq!(validate_trace_jsonl(&jsonl).unwrap(), 2 * (WRITERS * PUSHES) as usize);
+    }
+
+    #[test]
+    fn run_ids_are_retained_and_resolvable() {
+        let ledger = RunLedger::default();
+        let runs: Vec<RunId> = (1..=4).map(|n| RunId::from_u64(n << 40 | n)).collect();
+        for (i, run) in runs.iter().enumerate() {
+            ledger.push(RunRecord { view: format!("v{i}").into(), ..bare(*run) });
+        }
+        let found = ledger.record(runs[2]).expect("run 2 in the ring");
+        assert_eq!(&*found.view, "v2");
+        assert_eq!(found.run_id, runs[2]);
+        assert!(ledger.record(RunId::from_u64(5 << 40 | 5)).is_none(), "never pushed");
+        // the export header carries the id in its 16-hex rendering
+        let jsonl = ledger.recent_jsonl(usize::MAX);
+        for run in &runs {
+            assert!(jsonl.contains(&format!("\"run_id\":\"{run}\"")), "{run} missing");
+        }
+    }
+
+    /// While writers churn the ring past its capacity, each writer's
+    /// newest run resolves at once; afterwards the ring holds exactly
+    /// [`RUN_CAPACITY`] records, their run ids are unique and round-trip
+    /// through their text form, and the export's span ids are unique
+    /// across every trace.
+    #[test]
+    fn concurrent_pushes_stay_bounded_and_unique() {
+        let ledger = RunLedger::default();
+        let pinned = RunId::from_u64(u64::MAX);
+        ledger.push(bare(pinned));
+        std::thread::scope(|scope| {
+            for w in 0..2u64 {
+                let ledger = &ledger;
+                scope.spawn(move || {
+                    for i in 0..RUN_CAPACITY as u64 {
+                        let run = RunId::from_u64((w << 32) | (i + 1));
+                        ledger.push(bare(run));
+                        let found = ledger.record(run).expect("a just-pushed run resolves");
+                        assert_eq!(found.run_id, run);
+                        assert!(Arc::ptr_eq(&found.trace, &ledger.trace(run).unwrap()));
+                    }
+                });
+            }
+        });
+        assert!(ledger.record(pinned).is_none(), "the churn evicted the oldest run");
+        let recent = ledger.recent(usize::MAX);
+        assert_eq!(recent.len(), RUN_CAPACITY);
+        let ids: HashSet<RunId> = recent.iter().map(|r| r.run_id).collect();
+        assert_eq!(ids.len(), recent.len(), "duplicate run ids in the ring");
+        for r in &recent {
+            assert_eq!(RunId::parse(&r.run_id.to_string()), Some(r.run_id));
+        }
+        // the schema check rejects a repeated span id anywhere in the export
+        let jsonl = ledger.recent_jsonl(usize::MAX);
+        assert_eq!(validate_trace_jsonl(&jsonl).unwrap(), 2 * RUN_CAPACITY);
     }
 }

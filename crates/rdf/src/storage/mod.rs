@@ -12,7 +12,7 @@
 //!   default, unchanged semantics.
 //! * [`DiskBackend`] — a persistent, dictionary-encoded store (append-only
 //!   term dictionary, immutable sorted segment files, write-ahead journal
-//!   with group commit and crash recovery). See [`disk`].
+//!   with group commit and crash recovery). See the `disk` module.
 //!
 //! # Id stability (invariant)
 //!

@@ -61,8 +61,9 @@ pub fn parse_into_store(input: &str) -> Result<GraphStore> {
 }
 
 /// Serializes a store as Turtle, grouping triples by subject and compacting
-/// IRIs against the given prefix map. Generic over [`Storage`] so durable
-/// backends export the same way as the in-memory store.
+/// IRIs against the given prefix map. Generic over
+/// [`Storage`](crate::storage::Storage) so durable backends export the
+/// same way as the in-memory store.
 pub fn serialize<S: crate::storage::Storage + ?Sized>(store: &S, prefixes: &PrefixMap) -> String {
     let mut out = String::new();
     for (p, ns) in prefixes.iter() {

@@ -43,6 +43,14 @@ impl Default for DriftConfig {
     }
 }
 
+/// Configuration for a long-lived engine's continuous observability
+/// (`QualityEngine::enable_observability`): drift detection.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TelemetryConfig {
+    /// Drift-monitor configuration.
+    pub drift: DriftConfig,
+}
+
 /// One threshold crossing: the current window's distribution moved at
 /// least `threshold` (L1) away from the reference.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,7 +10,7 @@
 //!   attributes. Spans are recorded into per-worker [`span::SpanRecorder`]s
 //!   (no locks on the hot path) and merged into a [`span::SpanTrace`] when
 //!   an enactment finishes;
-//! * [`metrics`] — a process-wide registry of counters, gauges and
+//! * [`metrics`](mod@metrics) — a process-wide registry of counters, gauges and
 //!   fixed-bucket log₂-scale histograms backed by sharded atomics, so the
 //!   enrichment hot path can record rates and latencies without
 //!   serialising writers;
@@ -20,20 +20,23 @@
 //!   the span that produced it — the [`ledger::DecisionTrace`] that
 //!   answers `why(item)`.
 //!
+//! The engine keeps what a finished run produced (its span trace, drift
+//! events, stats and decisions) in one record of its run ring
+//! (`qurator::ledger`); this crate defines the pieces and keeps no run
+//! of its own.
+//!
 //! On top of the per-run pillars sits the continuous-observability layer
 //! for long-lived engines (`qv serve`):
 //!
-//! * [`retain`] — bounded, tail-sampled retention of finished span trees
-//!   in per-worker ring shards ([`retain::TraceRetainer`], configured by
-//!   [`retain::TelemetryConfig`]);
 //! * [`drift`] — sliding-window QA-classification distributions compared
-//!   (L1 / χ²) against a reference window, with threshold-crossing
-//!   events republished into the ledger;
+//!   (L1 / χ²) against a reference window (configured by
+//!   [`drift::TelemetryConfig`]), with threshold-crossing events
+//!   republished into the record of the run that tripped them;
 //! * [`profile`] — a folded-stack (flamegraph) exporter over span
 //!   traces;
 //! * [`runid`] — the correlation spine: a [`runid::RunId`] minted per
-//!   request/invocation and stamped onto spans, retained traces, ledger
-//!   records and drift-crossing events;
+//!   request/invocation and stamped onto spans, decision traces and
+//!   drift-crossing events, and keying the engine's record of the run;
 //! * [`accesslog`] — a bounded, sharded structured access log (one JSON
 //!   line per served request, each carrying its run id);
 //! * [`slo`] — per-route latency/availability error budgets over a
@@ -62,7 +65,6 @@ pub mod ledger;
 pub mod metrics;
 pub mod naming;
 pub mod profile;
-pub mod retain;
 pub mod runid;
 pub mod schema;
 pub mod slo;
@@ -70,11 +72,10 @@ pub mod span;
 pub mod stats;
 
 pub use accesslog::{AccessLog, AccessRecord};
-pub use drift::{DriftConfig, DriftEvent, DriftMonitor};
+pub use drift::{DriftConfig, DriftEvent, DriftMonitor, TelemetryConfig};
 pub use ledger::{ActionRecord, AssertionRecord, DecisionTrace, EvidenceRecord, LedgerEvent};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::Profile;
-pub use retain::{KeepReason, RetainedTrace, TelemetryConfig, TraceMeta, TraceRetainer};
 pub use runid::RunId;
 pub use slo::{RouteSlo, SloConfig, SloTracker};
 pub use span::{AttrValue, Span, SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession};

@@ -59,10 +59,6 @@ pub const ALLOWLIST: &[&str] = &[
     "store.wal.append_ns",
     "store.wal.batch_records",
     "store.wal.fsync_ns",
-    "trace.retain.dropped",
-    "trace.retain.kept",
-    "trace.retain.offered",
-    "trace.retain.resident",
 ];
 
 /// Pre-convention names (fewer than three segments) that predate the

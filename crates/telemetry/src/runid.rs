@@ -3,16 +3,14 @@
 //! A [`RunId`] is minted once at every entry point (each `POST
 //! /run/<view>` request, each `qv run` / `qv profile` invocation) and
 //! threaded through everything that run produces: the root span carries
-//! it as an attribute, the trace retainer stores it on
-//! [`TraceMeta`](crate::retain::TraceMeta), the decision ledger stamps
-//! it on every record, and drift-crossing ledger events reference the
-//! run that tripped them. Given the 16-hex-char rendering from an
+//! it as an attribute, it keys the engine's record of the run (its span
+//! trace, stats and decisions), every decision trace is stamped with it,
+//! and drift-crossing ledger events reference the run that tripped them. Given the 16-hex-char rendering from an
 //! `X-QV-Run-Id` response header, `GET /runs/<id>` (or the exporters)
 //! can reassemble the whole picture after the fact.
 //!
 //! Ids are derived by running a process-unique counter through
-//! splitmix64 — the same finalizer the trace retainer uses for
-//! sampling — seeded with wall-clock + pid entropy so two processes
+//! splitmix64, seeded with wall-clock + pid entropy so two processes
 //! started back to back do not collide on their first runs.
 
 use std::fmt;
@@ -20,9 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// splitmix64 finalizer: a full-period, well-mixed permutation of the
-/// 64-bit state. Shared by [`RunId::mint`] and the trace retainer's
-/// sampling decision.
-pub(crate) fn splitmix64(state: u64) -> u64 {
+/// 64-bit state.
+fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -31,8 +28,8 @@ pub(crate) fn splitmix64(state: u64) -> u64 {
 
 /// A telemetry-level run identifier, rendered as 16 lowercase hex chars.
 ///
-/// `Default` is the all-zero id, used by synthetic [`TraceMeta`]s in
-/// tests; every real execution path mints a fresh id instead.
+/// `Default` is the all-zero id; every real execution path mints a fresh
+/// id instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RunId(u64);
 

@@ -17,11 +17,11 @@ use crate::json::{parse, Value};
 /// be null: exported traces are finished); `attrs` an object.
 /// Whole-file check: every non-null parent id must exist in the file.
 ///
-/// Lines with `type == "trace"` — the per-trace header lines emitted by
-/// [`crate::retain::TraceRetainer::recent_jsonl`] — are validated for
-/// shape (integer `seq`/`root_duration_ns`, string `view`, known
-/// `reason`, 16-hex-char `run_id`) but not counted in the returned span
-/// total.
+/// Lines with `type == "trace"` — the per-run header lines of
+/// `GET /traces/recent` (`qurator::ledger::RunLedger::recent_jsonl`) —
+/// are validated for shape (string `view`, 16-hex-char `run_id`, integer
+/// `rejected`/`root_duration_ns`/`spans`, boolean `error`) but not
+/// counted in the returned span total.
 pub fn validate_trace_jsonl(input: &str) -> Result<usize, String> {
     let mut ids = std::collections::BTreeSet::new();
     let mut parents: Vec<(usize, u64)> = Vec::new();
@@ -39,29 +39,25 @@ pub fn validate_trace_jsonl(input: &str) -> Result<usize, String> {
         };
         match kind_of("type")?.as_str() {
             Some("span") => {}
-            // retained-trace header lines (TraceRetainer::recent_jsonl):
-            // validated for shape, not counted as spans
+            // per-run header lines (`GET /traces/recent`): validated for
+            // shape, not counted as spans
             Some("trace") => {
-                kind_of("seq")?
-                    .as_u64()
-                    .ok_or_else(|| format!("line {n}: trace seq must be an integer"))?;
                 if kind_of("view")?.as_str().is_none() {
                     return Err(format!("line {n}: trace view must be a string"));
                 }
-                let reason = kind_of("reason")?
-                    .as_str()
-                    .ok_or_else(|| format!("line {n}: trace reason must be a string"))?;
-                if !matches!(reason, "error" | "rejected" | "slow" | "sampled") {
-                    return Err(format!("line {n}: unknown retention reason {reason:?}"));
-                }
-                kind_of("root_duration_ns")?
-                    .as_u64()
-                    .ok_or_else(|| format!("line {n}: root_duration_ns must be an integer"))?;
                 let run = kind_of("run_id")?
                     .as_str()
                     .ok_or_else(|| format!("line {n}: trace run_id must be a string"))?;
                 if crate::runid::RunId::parse(run).is_none() {
                     return Err(format!("line {n}: run_id {run:?} is not 16 hex chars"));
+                }
+                for key in ["rejected", "root_duration_ns", "spans"] {
+                    kind_of(key)?
+                        .as_u64()
+                        .ok_or_else(|| format!("line {n}: trace {key} must be an integer"))?;
+                }
+                if kind_of("error")?.as_bool().is_none() {
+                    return Err(format!("line {n}: trace error must be a boolean"));
                 }
                 continue;
             }
@@ -440,23 +436,34 @@ mod tests {
 
     #[test]
     fn accepts_and_checks_trace_header_lines() {
-        let ok = concat!(
-            "{\"type\":\"trace\",\"seq\":0,\"view\":\"fig1\",\"run_id\":\"00000000deadbeef\",\"reason\":\"rejected\",\"root_duration_ns\":42,\"rejected\":1,\"spans\":1}\n",
-            "{\"type\":\"span\",\"id\":1,\"parent\":null,\"name\":\"view:fig1\",\"kind\":\"view\",\"start_ns\":0,\"end_ns\":42,\"attrs\":{}}\n",
+        let header = "{\"type\":\"trace\",\"view\":\"fig1\",\"run_id\":\"00000000deadbeef\",\"rejected\":1,\"error\":false,\"root_duration_ns\":42,\"spans\":1}";
+        let ok = format!(
+            "{header}\n{}\n",
+            "{\"type\":\"span\",\"id\":1,\"parent\":null,\"name\":\"view:fig1\",\"kind\":\"view\",\"start_ns\":0,\"end_ns\":42,\"attrs\":{}}"
         );
-        assert_eq!(validate_trace_jsonl(ok).unwrap(), 1);
+        assert_eq!(validate_trace_jsonl(&ok).unwrap(), 1);
 
-        let bad_reason =
-            "{\"type\":\"trace\",\"seq\":0,\"view\":\"v\",\"run_id\":\"00000000deadbeef\",\"reason\":\"vibes\",\"root_duration_ns\":1}\n";
-        assert!(validate_trace_jsonl(bad_reason).unwrap_err().contains("retention reason"));
+        // every header key is required, with its type
+        for (key, value) in [
+            ("view", "\"fig1\""),
+            ("run_id", "\"00000000deadbeef\""),
+            ("rejected", "1"),
+            ("error", "false"),
+            ("root_duration_ns", "42"),
+            ("spans", "1"),
+        ] {
+            let member = format!("\"{key}\":{value}");
+            let missing = header.replace(&format!(",{member}"), "");
+            assert_ne!(missing, header, "{key}");
+            let err = validate_trace_jsonl(&missing).unwrap_err();
+            assert!(err.contains(&format!("missing key \"{key}\"")), "{key}: {err}");
+            let mistyped = header.replace(&member, &format!("\"{key}\":[]"));
+            let err = validate_trace_jsonl(&mistyped).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
 
-        let no_run =
-            "{\"type\":\"trace\",\"seq\":0,\"view\":\"v\",\"reason\":\"sampled\",\"root_duration_ns\":1}\n";
-        assert!(validate_trace_jsonl(no_run).unwrap_err().contains("run_id"));
-
-        let bad_run =
-            "{\"type\":\"trace\",\"seq\":0,\"view\":\"v\",\"run_id\":\"xyz\",\"reason\":\"sampled\",\"root_duration_ns\":1}\n";
-        assert!(validate_trace_jsonl(bad_run).unwrap_err().contains("16 hex"));
+        let bad_run = header.replace("00000000deadbeef", "xyz");
+        assert!(validate_trace_jsonl(&bad_run).unwrap_err().contains("16 hex"));
     }
 
     #[test]

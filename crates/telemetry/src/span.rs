@@ -129,7 +129,9 @@ pub struct Span {
     /// `None` while the span is still open; every span in a finished
     /// [`SpanTrace`] must be closed.
     pub end_ns: Option<u64>,
-    pub attrs: Vec<(String, AttrValue)>,
+    /// Attribute keys are literals at every recording site, so a span
+    /// kept for hundreds of runs stores them without allocating.
+    pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl Span {
@@ -140,7 +142,7 @@ impl Span {
 
     /// Looks up an attribute by key.
     pub fn attr(&self, key: &str) -> Option<&AttrValue> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 }
 
@@ -217,9 +219,9 @@ impl SpanRecorder {
     }
 
     /// Attaches an attribute to a span owned by this recorder.
-    pub fn attr(&mut self, id: SpanId, key: impl Into<String>, value: impl Into<AttrValue>) {
+    pub fn attr(&mut self, id: SpanId, key: &'static str, value: impl Into<AttrValue>) {
         if let Some(span) = self.spans.iter_mut().rev().find(|s| s.id == id) {
-            span.attrs.push((key.into(), value.into()));
+            span.attrs.push((key, value.into()));
         }
     }
 
@@ -271,9 +273,16 @@ pub struct SpanTrace {
 }
 
 impl SpanTrace {
-    /// Builds a trace from merged recorder outputs.
+    /// Builds a trace from merged recorder outputs. A finished trace is
+    /// never extended and may be kept for hundreds of runs (the engine's
+    /// run ring), so the span and attribute vectors drop their spare
+    /// capacity here.
     pub fn from_spans(mut spans: Vec<Span>) -> Self {
         spans.sort_by_key(|s| s.id);
+        spans.shrink_to_fit();
+        for span in &mut spans {
+            span.attrs.shrink_to_fit();
+        }
         SpanTrace { spans }
     }
 
@@ -398,15 +407,23 @@ impl SpanTrace {
     /// JSON-lines export: one span object per line, ordered by id. Format
     /// validated by [`crate::schema::validate_trace_jsonl`].
     pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        self.write_jsonl(&mut out, 0);
+        out
+    }
+
+    /// Appends the JSON-lines export to `out`, adding `id_offset` to every
+    /// span and parent id, so a document that concatenates several traces
+    /// can keep its span ids unique.
+    pub fn write_jsonl(&self, out: &mut String, id_offset: u64) {
         use crate::json::escape;
         use std::fmt::Write as _;
-        let mut out = String::new();
         for s in &self.spans {
             let _ = write!(
                 out,
                 "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"name\":\"{}\",\"kind\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"attrs\":{{",
-                s.id.0,
-                s.parent.map(|p| p.0.to_string()).unwrap_or_else(|| "null".into()),
+                s.id.0 + id_offset,
+                s.parent.map(|p| (p.0 + id_offset).to_string()).unwrap_or_else(|| "null".into()),
                 escape(&s.name),
                 s.kind.as_str(),
                 s.start_ns,
@@ -426,7 +443,6 @@ impl SpanTrace {
             }
             out.push_str("}}\n");
         }
-        out
     }
 }
 

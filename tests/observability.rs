@@ -1,24 +1,29 @@
-//! Continuous-observability integration: the retention ring, the drift
-//! monitor and the ledger republish path exercised through the engine on
-//! the Figure 7 workload (§6.3).
+//! Continuous-observability integration: the run ring's trace export, the
+//! drift monitor and the path that republishes drift crossings into run
+//! records, exercised through the engine on the Figure 7 workload (§6.3).
 //!
 //! Two properties from the PR's acceptance list live here:
 //!
 //! * an injected shift in the QA classification mix (two windows with
 //!   different class distributions) must surface as a threshold-crossing
-//!   event in the engine's decision ledger;
-//! * the JSON-lines export of the trace ring (`/traces/recent`) must
-//!   agree with the in-memory retained set on exactly which span ids were
-//!   kept, stay schema-valid, and never produce torn records while
-//!   enactments run in parallel.
+//!   event in the engine's ledger;
+//! * the JSON-lines export of the run ring (`/traces/recent`) must agree
+//!   with the in-memory records trace by trace, stay schema-valid, and
+//!   never produce torn records while enactments run in parallel.
+//!
+//! A third checks that a run id keeps resolving to its own record while
+//! parallel enactments churn the ring past its capacity.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
 
+use qurator::ledger::RUN_CAPACITY;
 use qurator::prelude::*;
 use qurator_proteomics::{World, WorldConfig};
+use qurator_rdf::term::Term;
 use qurator_repro::ispider::{figure7_view, hits_to_dataset};
-use qurator_telemetry::{drift, json, schema, DriftConfig, TelemetryConfig};
+use qurator_telemetry::span::AttrValue;
+use qurator_telemetry::{drift, json, schema, DriftConfig, RunId, TelemetryConfig};
 
 /// The drift monitor is process-global (by design — it mirrors the
 /// metrics registry), so the tests in this binary serialise on it.
@@ -39,7 +44,6 @@ fn injected_class_shift_crosses_the_threshold_into_the_ledger() {
     let engine = QualityEngine::with_proteomics_defaults().expect("engine");
     engine.enable_observability(&TelemetryConfig {
         drift: DriftConfig { window: 50, threshold: 0.2 },
-        ..TelemetryConfig::default()
     });
 
     let spec = figure7_view();
@@ -59,10 +63,12 @@ fn injected_class_shift_crosses_the_threshold_into_the_ledger() {
     drift::global().observe_bulk("ObsTestAssertion", &[("q:high", 50u64)]);
     drift::global().observe_bulk("ObsTestAssertion", &[("q:low", 50u64)]);
 
-    // crossings are republished into the decision ledger when the next
-    // enactment finishes (the engine polls its drift cursor per trace)
-    engine.execute_view(&spec, &dataset).expect("second run");
-    let events = engine.ledger().events();
+    // crossings land in the record of the next run to finish (the engine
+    // polls its drift cursor once per run)
+    let second = qurator_telemetry::RunId::mint();
+    engine.execute_view_run(&spec, &dataset, second).expect("second run");
+    let events = engine.ledger().record(second).expect("second run in the ring").events;
+    assert!(!events.is_empty(), "the crossing is the run's");
     let event = events
         .iter()
         .find(|e| {
@@ -88,11 +94,7 @@ fn ring_export_agrees_with_memory_under_parallel_enactment() {
     let _guard = DRIFT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let world = World::generate(&WorldConfig::paper_scale(7)).expect("testbed");
     let engine = QualityEngine::with_proteomics_defaults().expect("engine");
-    let retainer = engine.enable_observability(&TelemetryConfig {
-        trace_capacity: 64,
-        sample_rate: 1.0,
-        ..TelemetryConfig::default()
-    });
+    engine.enable_observability(&TelemetryConfig::default());
 
     let spec = figure7_view();
     let dataset = figure7_dataset(&world);
@@ -111,7 +113,7 @@ fn ring_export_agrees_with_memory_under_parallel_enactment() {
         // sees must already be schema-valid (no torn or half-written records)
         scope.spawn(|| {
             for _ in 0..24 {
-                let jsonl = retainer.recent_jsonl(usize::MAX);
+                let jsonl = engine.ledger().recent_jsonl(usize::MAX);
                 if !jsonl.is_empty() {
                     schema::validate_trace_jsonl(&jsonl).expect("mid-flight export is well-formed");
                 }
@@ -120,28 +122,79 @@ fn ring_export_agrees_with_memory_under_parallel_enactment() {
         });
     });
 
-    // quiescent: keep-all sampling and capacity > runs means every
-    // enactment was retained
-    let retained = retainer.recent(usize::MAX);
-    assert_eq!(retained.len(), WRITERS * RUNS);
-    assert!(retainer.resident() <= retainer.capacity());
+    // quiescent: the ring holds every run's record, newest first
+    let records = engine.ledger().recent(usize::MAX);
+    assert_eq!(records.len(), WRITERS * RUNS);
 
-    // the export and the in-memory ring agree on the retained span ids
-    let jsonl = retainer.recent_jsonl(usize::MAX);
+    // the export and the in-memory ring agree run by run: one header per
+    // record, in ring order, followed by that record's spans by name
+    let jsonl = engine.ledger().recent_jsonl(usize::MAX);
     let span_count = schema::validate_trace_jsonl(&jsonl).expect("final export is schema-valid");
-    assert_eq!(span_count, retained.iter().map(|r| r.trace.len()).sum::<usize>());
-    let exported_ids: HashSet<u64> = jsonl
-        .lines()
-        .filter_map(|line| {
-            let value = json::parse(line).ok()?;
-            if value.get("type")?.as_str()? != "span" {
-                return None;
-            }
-            value.get("id")?.as_u64()
-        })
-        .collect();
-    let memory_ids: HashSet<u64> =
-        retained.iter().flat_map(|r| r.trace.spans().iter().map(|s| s.id.0)).collect();
-    assert_eq!(exported_ids, memory_ids, "export and ring disagree on retained span ids");
-    assert_eq!(exported_ids.len(), span_count, "span ids are globally unique across traces");
+    assert_eq!(span_count, records.iter().map(|r| r.trace.len()).sum::<usize>());
+    let lines: Vec<json::Value> = jsonl.lines().map(|l| json::parse(l).unwrap()).collect();
+    let mut at = 0;
+    let mut exported_ids = HashSet::new();
+    for record in &records {
+        let header = &lines[at];
+        assert_eq!(header.get("type").and_then(|v| v.as_str()), Some("trace"));
+        let run = record.run_id.to_string();
+        assert_eq!(header.get("run_id").and_then(|v| v.as_str()), Some(run.as_str()));
+        assert_eq!(header.get("spans").and_then(|v| v.as_u64()), Some(record.trace.len() as u64));
+        for (span, line) in record.trace.spans().iter().zip(&lines[at + 1..]) {
+            assert_eq!(line.get("name").and_then(|v| v.as_str()), Some(span.name.as_str()));
+            exported_ids.insert(line.get("id").and_then(|v| v.as_u64()).unwrap());
+        }
+        at += 1 + record.trace.len();
+    }
+    assert_eq!(at, lines.len(), "the export holds nothing but the ring's records");
+    assert_eq!(exported_ids.len(), span_count, "span ids are unique across traces");
+}
+
+#[test]
+fn find_run_resolves_while_writers_churn_the_rings() {
+    let _guard = DRIFT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = QualityEngine::with_proteomics_defaults().expect("engine");
+    let spec = QualityViewSpec::paper_example();
+    let mut dataset = DataSet::new();
+    for (n, hit_ratio) in [(1, 0.9), (2, 0.2)] {
+        dataset.push(
+            Term::iri(format!("urn:lsid:pedro.man.ac.uk:hit:H{n}")),
+            [("hitRatio", EvidenceValue::from(hit_ratio))],
+        );
+    }
+
+    // pin one run we will look up, then churn past the ring's capacity
+    // from two threads so eviction runs concurrently with the lookups
+    let pinned = RunId::mint();
+    engine.execute_view_run(&spec, &dataset, pinned).expect("pinned run");
+    assert_eq!(engine.ledger().record(pinned).expect("pinned run resolves").run_id, pinned);
+    const RUNS_PER_WRITER: usize = RUN_CAPACITY / 2 + 1;
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for _ in 0..RUNS_PER_WRITER {
+                    let run = RunId::mint();
+                    engine.execute_view_run(&spec, &dataset, run).expect("churn run");
+                    // lookups interleaved with other threads' pushes never tear
+                    let found = engine.ledger().record(run).expect("just-finished run resolves");
+                    assert_eq!(found.run_id, run);
+                    assert_eq!(&*found.view, spec.name);
+                    let root = found.trace.roots().next().expect("root span");
+                    assert_eq!(root.attr("run_id"), Some(&AttrValue::from(run.to_string())));
+                }
+            });
+        }
+    });
+    assert!(engine.ledger().record(pinned).is_none(), "the churn evicted the pinned run");
+
+    // the ring is full, its run ids are distinct, and each parses back to
+    // itself: the correlation key round-trips
+    let records = engine.ledger().recent(usize::MAX);
+    assert_eq!(records.len(), RUN_CAPACITY);
+    let ids: HashSet<RunId> = records.iter().map(|r| r.run_id).collect();
+    assert_eq!(ids.len(), records.len(), "duplicate run ids in the ring");
+    for r in &records {
+        let text = r.run_id.to_string();
+        assert_eq!(RunId::parse(&text), Some(r.run_id), "{text}");
+    }
 }

@@ -1,6 +1,7 @@
 //! Golden provenance snapshots: the `DecisionTrace::to_json` line of
 //! every item a run traced is pinned byte for byte in
-//! `tests/provenance_golden/`, one JSON line per item in `for_run` order.
+//! `tests/provenance_golden/`, one JSON line per item in
+//! `RunRecord::decision_traces` order.
 //! The run id is fixed, so the snapshots are stable across machines.
 //! `crates/cli/tests/cli.rs` pins the `qv explain --spans` and
 //! `qv run --explain` renderings from the same directory.
@@ -58,7 +59,7 @@ fn render(view: &str, extra: usize, run: u64) -> String {
     engine.set_provenance_enabled(true);
     let run = RunId::from_u64(run);
     engine.execute_view_run(&spec, &dataset(extra), run).unwrap();
-    let traces = engine.ledger().for_run(run);
+    let traces = engine.ledger().record(run).expect("the run's record").decision_traces();
     assert_eq!(traces.len(), 4 + extra, "one trace per item");
     traces.iter().map(|t| t.to_json() + "\n").collect()
 }
