@@ -18,9 +18,11 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The directory under a store root that holds the engine's per-view
-/// stats profiles. The reopen scan skips it, so no repository stored under
-/// a root may take this name.
+/// The directory under a store root where older versions of the engine
+/// kept per-view stats profiles. Roots written by them still hold it, so
+/// the reopen scan skips it rather than opening it as a store, and no
+/// repository stored under a root may take this name (the scan would
+/// skip that repository on restart).
 pub const STATS_DIR: &str = "stats";
 
 /// Checks that `name` can name a repository. A name must be one plain
@@ -31,7 +33,7 @@ pub fn check_repository_name(name: &str, on_disk: bool) -> Result<()> {
     let reason = if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
         "a repository name must be one path segment"
     } else if on_disk && name == STATS_DIR {
-        "the store root keeps its stats profiles under that name"
+        "older store roots keep stats profiles under that name"
     } else {
         return Ok(());
     };
@@ -89,8 +91,8 @@ impl RepositoryCatalog {
                     entry.file_name()
                 )));
             };
-            // `<root>/stats/` holds the engine's per-view stats profiles,
-            // not a repository store
+            // `<root>/stats/` holds stats profiles that older versions
+            // wrote, not a repository store
             if name == STATS_DIR {
                 continue;
             }
@@ -214,21 +216,39 @@ mod tests {
             archive.annotate(&item, &q::iri("HitRatio"), 0.9.into()).unwrap();
             c.flush_all().unwrap();
         }
-        // The engine writes per-view stats profiles under `<root>/stats/`;
-        // the reopen scan must not mistake that directory for a store.
-        std::fs::create_dir_all(tmp.path().join("stats")).unwrap();
-        std::fs::write(tmp.path().join("stats").join("v.json"), "{}").unwrap();
         // A fresh catalog pointed at the same root sees the archive again.
         let c = catalog();
         let reopened = c.set_store_root(tmp.path()).unwrap();
         assert_eq!(reopened, vec!["archive".to_string()]);
-        assert!(c.require("stats").is_err(), "stats/ reopened as a repository");
         let archive = c.require("archive").unwrap();
         assert!(archive.is_persistent());
         assert_eq!(
             archive.lookup(&item, &q::iri("HitRatio")).unwrap(),
             crate::EvidenceValue::Number(0.9)
         );
+    }
+
+    #[test]
+    fn an_older_roots_stats_directory_is_not_reopened_as_a_store() {
+        let tmp = qurator_rdf::storage::test_support::TempDir::new("catalog-stats");
+        let item = Term::iri("urn:lsid:t:h:1");
+        {
+            let c = catalog();
+            c.set_store_root(tmp.path()).unwrap();
+            c.create("archive", true).unwrap();
+        }
+        // older versions kept a stats profile per view under `<root>/stats/`
+        let stats = tmp.path().join(STATS_DIR);
+        std::fs::create_dir_all(&stats).unwrap();
+        std::fs::write(stats.join("v.json"), "{}").unwrap();
+        let c = catalog();
+        assert_eq!(c.set_store_root(tmp.path()).unwrap(), vec!["archive".to_string()]);
+        assert_eq!(c.names(), vec!["archive"]);
+        c.require("archive").unwrap().annotate(&item, &q::iri("HitRatio"), 0.9.into()).unwrap();
+        c.flush_all().unwrap();
+        let files: Vec<_> =
+            std::fs::read_dir(&stats).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(files, vec!["v.json"], "a store was opened under stats/");
     }
 
     #[test]

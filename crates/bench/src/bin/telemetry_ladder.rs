@@ -5,12 +5,11 @@
 //! Every step has its own engine and adds one layer to the step before
 //! it:
 //!
-//! 1. `baseline` — stats off, ledger off, drift off;
+//! 1. `baseline` — stats off, ledger off;
 //! 2. `+ stats` — the per-node `NodeStats` counters (`qv run`'s default);
 //! 3. `+ ledger` — per-run decision capture under `qv serve`'s item
 //!    budget;
-//! 4. `+ drift` — the drift monitor, at the default `TelemetryConfig`;
-//! 5. `+ correlation` — a caller-minted `RunId` and one access-log
+//! 4. `+ correlation` — a caller-minted `RunId` and one access-log
 //!    record per request: `qv serve`'s configuration.
 //!
 //! Every step keeps each run's span trace in its record in the engine's
@@ -41,7 +40,7 @@ use std::time::Instant;
 use bench::results::{quantile, BenchResult};
 use bench::{bench_view, synthetic_hits};
 use qurator::prelude::*;
-use qurator_telemetry::{AccessLog, AccessRecord, RunId, TelemetryConfig};
+use qurator_telemetry::{AccessLog, AccessRecord, RunId};
 
 const ROUNDS: usize = 21;
 const ITEMS_PER_SAMPLE: usize = 3_200;
@@ -55,7 +54,6 @@ struct Step {
     name: &'static str,
     key: &'static str,
     engine: QualityEngine,
-    drift: bool,
     correlated: bool,
     samples: Vec<f64>,
 }
@@ -64,7 +62,7 @@ impl Step {
     fn new(name: &'static str, key: &'static str) -> Self {
         let engine = QualityEngine::with_proteomics_defaults().expect("engine");
         engine.set_stats_enabled(false);
-        Step { name, key, engine, drift: false, correlated: false, samples: Vec::new() }
+        Step { name, key, engine, correlated: false, samples: Vec::new() }
     }
 }
 
@@ -89,16 +87,13 @@ fn main() {
     let requests = (ITEMS_PER_SAMPLE / rows).max(1);
     let dataset = synthetic_hits(rows);
     let spec = bench_view();
-    let drift = qurator_telemetry::drift::global();
     let access_log = AccessLog::new(ACCESS_LOG_CAPACITY);
 
-    let config = TelemetryConfig::default();
     let mut steps = vec![
         Step::new("baseline", "baseline"),
         Step::new("baseline (A/A)", "aa"),
         Step::new("+ stats", "stats"),
         Step::new("+ ledger", "ledger"),
-        Step::new("+ drift", "drift"),
         Step::new("+ correlation", "correlation"),
     ];
     for step in &mut steps[2..] {
@@ -108,15 +103,9 @@ fn main() {
         step.engine.set_provenance_enabled(true);
         step.engine.ledger().set_trace_capacity(LEDGER_CAPACITY);
     }
-    for step in &mut steps[4..] {
-        step.drift = true;
-        step.engine.enable_observability(&config);
-    }
-    steps[5].correlated = true;
+    steps[4].correlated = true;
 
     let sample = |step: &Step| -> f64 {
-        // the drift monitor is process-global, so it follows the step
-        drift.set_enabled(step.drift);
         let mut request_ms = Vec::with_capacity(requests);
         for _ in 0..requests {
             let start = Instant::now();
@@ -227,7 +216,7 @@ fn main() {
             .metric(format!("{}_delta_q3_pct", step.key), q3);
         previous = step;
     }
-    let [total_q1, total_med, total_q3] = paired_delta_pct(&steps[0].samples, &steps[5].samples);
+    let [total_q1, total_med, total_q3] = paired_delta_pct(&steps[0].samples, &steps[4].samples);
     println!(
         "\nall layers (serve configuration vs baseline): {total_med:+.2}% (q1 {total_q1:+.2}%, q3 {total_q3:+.2}%)"
     );
@@ -236,7 +225,7 @@ fn main() {
     );
     println!(
         "ledger: {} item(s) (budget {LEDGER_CAPACITY}) | access log: {} record(s)",
-        steps[5].engine.ledger().len(),
+        steps[4].engine.ledger().len(),
         access_log.recorded(),
     );
 
@@ -248,7 +237,7 @@ fn main() {
         .metric("ledger_provenance_share_q1_pct", share_q1)
         .metric("ledger_provenance_share_q3_pct", share_q3)
         .metric("access_log_records", access_log.recorded() as f64)
-        .samples_ms(steps[5].samples.clone());
+        .samples_ms(steps[4].samples.clone());
     let path = result.write().expect("bench artifact");
     println!("-> {}", path.display());
 }

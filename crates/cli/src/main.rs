@@ -16,8 +16,9 @@
 //! qv run      <view.xml> --data <hits.tsv>       execute over a TSV data set
 //!             [--group NAME] [--explain]
 //!             [--analyze [--format text|json]]    EXPLAIN ANALYZE: per-node
-//!             [--store DIR] [--stats-out FILE]    observed statistics; --store
-//!             [--trace-out FILE] [--metrics-out FILE]  persists the stats profile
+//!             [--store DIR]                      observed statistics; --store
+//!             [--trace-out FILE] [--metrics-out FILE]  roots persistent repositories
+//!             [--profile-out FILE]
 //! qv explain  <view.xml> --data <hits.tsv>       decision provenance for one item:
 //!             --item <id-or-suffix>              evidence fetched, tags assigned,
 //!             [--spans]                          actions taken (`why(item)`)
@@ -29,19 +30,19 @@
 //!             [--repo NAME]                      on-disk annotation store without
 //!                                                materializing the graph in RAM
 //! qv serve    <view.xml>... --addr HOST:PORT     long-lived engine over HTTP:
-//!             [--store <dir>]                    GET /healthz /metrics /drift /slo
+//!             [--store <dir>]                    GET /healthz /metrics /slo
 //!             [--workers N] [--queue N]          GET /traces/recent /log/recent
 //!             [--keep-alive-max N]               GET /runs/<id> (one run's record:
-//!             [--read-timeout-ms N]              trace, decisions, events, stats;
-//!             [--drift-window N]                 the last 256 runs)
-//!             [--drift-threshold F]              GET /store (storage inventory)
-//!             [--access-log FILE]                POST /run/<view> with a TSV body
-//!             [--slo-p99-ms N] [--slo-availability F]  (worker pool + bounded
-//!                                                queue; full queue -> 503 +
-//!                                                Retry-After; every run echoes
-//!                                                X-QV-Run-Id; GET /stats/<view>
-//!                                                serves the observed profile;
-//!                                                with --store, persistent repos
+//!             [--read-timeout-ms N]              trace, decisions, stats; the
+//!             [--access-log FILE]                last 256 runs)
+//!             [--slo-p99-ms N]                   GET /store (storage inventory)
+//!             [--slo-availability F]             POST /run/<view> with a TSV body
+//!                                                (worker pool + bounded queue;
+//!                                                full queue -> 503 + Retry-After;
+//!                                                every run echoes X-QV-Run-Id;
+//!                                                GET /stats/<view> merges the
+//!                                                view's runs in the ring; with
+//!                                                --store, persistent repos
 //!                                                survive restarts and crashes)
 //! qv bench-check <BENCH_*.json|dir|--all>        validate bench result artifacts
 //!                                                (a directory checks every
@@ -49,7 +50,7 @@
 //! qv telemetry-check <trace.jsonl> [metrics.txt] validate exported telemetry files
 //!             [--access-log access.jsonl]        (metrics are also linted against
 //!             [--analyze analyze.json]           the metric-name convention and
-//!             [--stats-profile profile.json]     the committed allowlist)
+//!                                                the committed allowlist)
 //! qv library  <catalog.xml> [--search TEXT]      browse a shared view catalog (§7 iv)
 //! ```
 //!
@@ -87,7 +88,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
     match command.as_str() {
         "validate" => cmd_validate(args.get(1).ok_or_else(usage)?),
         "check" => cmd_check(args),
-        "compile" => cmd_compile(args.get(1).ok_or_else(usage)?, args.contains(&"--dot".into())),
+        "compile" => cmd_compile(args),
         "plan" => cmd_plan(args),
         "plan-check" => cmd_plan_check(args.get(1).ok_or_else(usage)?),
         "fmt" => cmd_fmt(args.get(1).ok_or_else(usage)?),
@@ -108,8 +109,18 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  qv validate <view.xml>\n  qv check <view.xml|query.rq> [--format text|json] [--deny warnings] [--fix [--dry-run]]\n  qv compile <view.xml> [--dot]\n  qv plan <view.xml> [--no-opt] [--format text|json]\n  qv plan-check <plan.json>\n  qv fmt <view.xml>\n  qv run <view.xml> --data <hits.tsv> [--group NAME] [--explain] [--analyze [--format text|json]] [--store DIR] [--stats-out FILE] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]\n  qv load <triples.ttl> --store <dir> [--repo NAME]\n  qv explain <view.xml> --data <hits.tsv> --item <id-or-suffix> [--spans]\n  qv profile <view.xml> --data <hits.tsv> [--runs N] [--folded out.txt]\n  qv serve <view.xml>... --addr HOST:PORT [--store DIR] [--workers N] [--queue N] [--keep-alive-max N] [--read-timeout-ms N] [--drift-window N] [--drift-threshold F] [--access-log FILE] [--slo-p99-ms N] [--slo-availability F]\n  qv telemetry-check <trace.jsonl> [metrics.txt] [--access-log access.jsonl] [--analyze analyze.json] [--stats-profile profile.json]\n  qv bench-check <BENCH_*.json|dir|--all>\n  qv library <catalog.xml> [--search TEXT]"
+    "usage:\n  qv validate <view.xml>\n  qv check <view.xml|query.rq> [--format text|json] [--deny warnings] [--fix [--dry-run]]\n  qv compile <view.xml> [--dot]\n  qv plan <view.xml> [--no-opt] [--format text|json]\n  qv plan-check <plan.json>\n  qv fmt <view.xml>\n  qv run <view.xml> --data <hits.tsv> [--group NAME] [--explain] [--analyze [--format text|json]] [--store DIR] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]\n  qv load <triples.ttl> --store <dir> [--repo NAME]\n  qv explain <view.xml> --data <hits.tsv> --item <id-or-suffix> [--spans]\n  qv profile <view.xml> --data <hits.tsv> [--runs N] [--folded out.txt]\n  qv serve <view.xml>... --addr HOST:PORT [--store DIR] [--workers N] [--queue N] [--keep-alive-max N] [--read-timeout-ms N] [--access-log FILE] [--slo-p99-ms N] [--slo-availability F]\n  qv telemetry-check <trace.jsonl> [metrics.txt] [--access-log access.jsonl] [--analyze analyze.json]\n  qv bench-check <BENCH_*.json|dir|--all>\n  qv library <catalog.xml> [--search TEXT]"
         .to_string()
+}
+
+/// Refuses any `--flag` in `args` that is not among the subcommand's
+/// `known` flags, so a misspelt or removed flag fails instead of being
+/// ignored.
+fn check_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    match args.iter().skip(1).find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+        Some(flag) => Err(format!("unknown {} flag {flag:?}\n{}", args[0], usage())),
+        None => Ok(()),
+    }
 }
 
 fn read_file(path: &str) -> Result<String, String> {
@@ -151,6 +162,7 @@ fn cmd_validate(path: &str) -> Result<(), String> {
 /// non-zero when fixes would apply — the `cargo fmt --check` shape CI
 /// uses to keep shipped views fix-clean.
 fn cmd_check(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--format", "--deny", "--fix", "--dry-run"])?;
     let path = args.get(1).filter(|a| !a.starts_with("--")).ok_or_else(usage)?;
     let format = flag_value(args, "--format").unwrap_or("text");
     if format != "text" && format != "json" {
@@ -238,11 +250,12 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compile(path: &str, dot: bool) -> Result<(), String> {
-    let spec = load_view(path)?;
+fn cmd_compile(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--dot"])?;
+    let spec = load_view(args.get(1).ok_or_else(usage)?)?;
     let engine = stock_engine()?;
     let workflow = engine.compile(&spec).map_err(|e| e.to_string())?;
-    if dot {
+    if args.contains(&"--dot".into()) {
         print!("{}", workflow.to_dot());
         return Ok(());
     }
@@ -262,6 +275,7 @@ fn cmd_compile(path: &str, dot: bool) -> Result<(), String> {
 /// lowers to, with the pass pipeline's reports, the wave schedule and
 /// each node's configuration. `--no-opt` shows the unoptimized baseline.
 fn cmd_plan(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--no-opt", "--format"])?;
     let path = args.get(1).filter(|a| !a.starts_with("--")).ok_or_else(usage)?;
     let format = flag_value(args, "--format").unwrap_or("text");
     if format != "text" && format != "json" {
@@ -297,7 +311,12 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
+/// The flags [`write_telemetry`] reads.
+const TELEMETRY_FLAGS: [&str; 3] = ["--trace-out", "--metrics-out", "--profile-out"];
+
 fn cmd_run(args: &[String]) -> Result<(), String> {
+    let known = ["--data", "--group", "--explain", "--analyze", "--format", "--store"];
+    check_flags(args, &[&known[..], &TELEMETRY_FLAGS].concat())?;
     let view_path = args.get(1).ok_or_else(usage)?;
     let data_path = flag_value(args, "--data").ok_or_else(usage)?;
     let explain = args.contains(&"--explain".into());
@@ -318,10 +337,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     // `--explain` reads the run's consolidated map back from its record
     engine.set_provenance_enabled(explain);
-    // lowered before the run: any `planned ~N rows` annotations come from
-    // the profile a *previous* run persisted, not from this execution
     let plan = analyze
-        .then(|| engine.plan_with_stats(&spec, &qurator_plan::PlanConfig::default()))
+        .then(|| engine.plan_with(&spec, &qurator_plan::PlanConfig::default()))
         .transpose()
         .map_err(|e| e.to_string())?;
     let run = qurator_telemetry::RunId::mint();
@@ -351,16 +368,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         match format {
             "json" => println!("{}", qurator_plan::render::render_analyze_json(plan, &stats)),
             _ => print!("\n{}", qurator_plan::render::render_analyze_text(plan, &stats, true)),
-        }
-    }
-    if let Some(path) = flag_value(args, "--stats-out") {
-        let profile = engine
-            .stats_profile(&spec.name)
-            .ok_or("no stats profile was recorded (is stats collection disabled?)")?;
-        std::fs::write(path, profile.to_json())
-            .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        if format == "text" {
-            println!("stats profile ({} run(s) observed) -> {path}", profile.runs);
         }
     }
 
@@ -449,6 +456,7 @@ fn write_telemetry(
 /// nodes); `--folded` exports the runs' span traces as
 /// flamegraph-compatible folded stacks.
 fn cmd_profile(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--data", "--runs", "--folded"])?;
     let view_path = args.get(1).filter(|a| !a.starts_with("--")).ok_or_else(usage)?;
     let data_path = flag_value(args, "--data").ok_or_else(usage)?;
     let runs: u32 = match flag_value(args, "--runs") {
@@ -475,11 +483,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         merged.merge(&stats);
         folded.add_trace(&*engine.ledger().trace(run).ok_or("no span trace was recorded")?);
     }
-    // the decayed profile now holds all N runs, so the plan's
-    // `planned ~N rows` column reflects what this session observed
-    let plan = engine
-        .plan_with_stats(&spec, &qurator_plan::PlanConfig::default())
-        .map_err(|e| e.to_string())?;
+    let plan =
+        engine.plan_with(&spec, &qurator_plan::PlanConfig::default()).map_err(|e| e.to_string())?;
     print!("{}", qurator_plan::render::render_analyze_text(&plan, &merged, true));
     let wall_ns = wall.as_nanos() as u64;
     println!(
@@ -500,6 +505,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 /// bounded-memory regardless of the input size; `qv serve --store`
 /// reopens the result as the repository named by `--repo`.
 fn cmd_load(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--store", "--repo"])?;
     let data_path = args.get(1).filter(|a| !a.starts_with("--")).ok_or_else(usage)?;
     let store_dir = flag_value(args, "--store").ok_or("load needs --store <dir>")?;
     let repo = flag_value(args, "--repo").unwrap_or("archive");
@@ -559,7 +565,20 @@ fn install_shutdown_handler() {}
 /// `qv serve`: publish one or more views behind the HTTP endpoint and
 /// serve until SIGTERM/SIGINT.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut config = qurator_telemetry::TelemetryConfig::default();
+    check_flags(
+        args,
+        &[
+            "--addr",
+            "--store",
+            "--workers",
+            "--queue",
+            "--keep-alive-max",
+            "--read-timeout-ms",
+            "--access-log",
+            "--slo-p99-ms",
+            "--slo-availability",
+        ],
+    )?;
     let mut pool = serve::ServeConfig::default();
     let mut options = serve::ServeOptions::default();
     let mut view_paths: Vec<&str> = Vec::new();
@@ -612,18 +631,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 pool.read_timeout = std::time::Duration::from_millis(ms);
                 i += 2;
             }
-            "--drift-window" => {
-                let v = flag_arg("--drift-window")?;
-                config.drift.window =
-                    v.parse().map_err(|_| format!("--drift-window {v:?} is not a number"))?;
-                i += 2;
-            }
-            "--drift-threshold" => {
-                let v = flag_arg("--drift-threshold")?;
-                config.drift.threshold =
-                    v.parse().map_err(|_| format!("--drift-threshold {v:?} is not a number"))?;
-                i += 2;
-            }
             "--access-log" => {
                 options.access_log_path = Some(flag_arg("--access-log")?.into());
                 i += 2;
@@ -647,9 +654,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 }
                 options.slo.availability = objective;
                 i += 2;
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown serve flag {other:?}\n{}", usage()));
             }
             path => {
                 view_paths.push(path);
@@ -678,7 +682,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         engine.validate(&spec).map_err(|e| format!("{path}: {e}"))?;
         views.push(spec);
     }
-    let state = serve::ServeState::new(engine, views, &config, options)?;
+    let state = serve::ServeState::new(engine, views, options)?;
     let names = state.view_names().join(", ");
     let server = serve::Server::bind(addr, state, pool)?;
     let local = server.local_addr()?;
@@ -699,6 +703,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// or `--all` (the current directory) — the CI gate over the whole
 /// artifact set.
 fn cmd_bench_check(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--all"])?;
     let target = args.get(1).ok_or_else(usage)?;
     let dir = if target == "--all" {
         std::path::PathBuf::from(".")
@@ -741,6 +746,7 @@ fn check_bench_file(path: &std::path::Path) -> Result<(), String> {
 /// `qv explain`: run the view with the decision ledger enabled and print
 /// the provenance trace (evidence, assertions, actions) for one item.
 fn cmd_explain(args: &[String]) -> Result<(), String> {
+    check_flags(args, &[&["--data", "--item", "--spans"][..], &TELEMETRY_FLAGS].concat())?;
     let view_path = args.get(1).ok_or_else(usage)?;
     let data_path = flag_value(args, "--data").ok_or_else(usage)?;
     let needle = flag_value(args, "--item").ok_or_else(usage)?;
@@ -774,6 +780,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 /// convention and the committed allowlist
 /// (`qurator_telemetry::naming::ALLOWLIST`).
 fn cmd_telemetry_check(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--access-log", "--analyze"])?;
     let trace_path = args.get(1).ok_or_else(usage)?;
     let spans = qurator_telemetry::schema::validate_trace_jsonl(&read_file(trace_path)?)
         .map_err(|e| format!("{trace_path}: {e}"))?;
@@ -797,15 +804,11 @@ fn cmd_telemetry_check(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("{path}: {e}"))?;
         println!("{path}: ok ({nodes} analyzed node(s))");
     }
-    if let Some(path) = flag_value(args, "--stats-profile") {
-        let nodes = qurator_telemetry::schema::validate_stats_profile_json(&read_file(path)?)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: ok ({nodes} profiled node(s))");
-    }
     Ok(())
 }
 
 fn cmd_library(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--search"])?;
     let path = args.get(1).ok_or_else(usage)?;
     let library = ViewLibrary::from_xml(&read_file(path)?).map_err(|e| e.to_string())?;
     let entries: Vec<_> = match flag_value(args, "--search") {
@@ -998,7 +1001,7 @@ mod check_tests {
     }
 
     #[test]
-    fn run_analyze_renders_observed_stats_and_exports_the_profile() {
+    fn run_analyze_renders_observed_stats() {
         let view = write_temp("analyze.qv", CLEAN_VIEW);
         let data = write_temp("analyze.tsv", "id\thitRatio\nurn:a\t0.9\nurn:b\t0.1\n");
         run(&["run", &view, "--data", &data, "--analyze"]).unwrap();
@@ -1006,12 +1009,6 @@ mod check_tests {
         // --format gates the analyze rendering, not the run itself
         assert!(run(&["run", &view, "--data", &data, "--format", "json"]).is_err());
         assert!(run(&["run", &view, "--data", &data, "--analyze", "--format", "yaml"]).is_err());
-        let out = std::env::temp_dir().join("qv-cli-check-tests").join("profile.json");
-        let out = out.to_string_lossy().into_owned();
-        run(&["run", &view, "--data", &data, "--stats-out", &out]).unwrap();
-        let profile = std::fs::read_to_string(&out).unwrap();
-        let nodes = qurator_telemetry::schema::validate_stats_profile_json(&profile).unwrap();
-        assert!(nodes > 0, "empty stats profile:\n{profile}");
     }
 
     #[test]

@@ -15,12 +15,11 @@
 //! | GET    | `/healthz`       | `ok`                                     |
 //! | GET    | `/metrics`       | Prometheus text exposition               |
 //! | GET    | `/traces/recent` | JSON-lines of the newest runs' traces    |
-//! | GET    | `/drift`         | drift-monitor state + events, JSON       |
 //! | GET    | `/runs/<id>`     | correlation bundle for one run id        |
 //! | GET    | `/log/recent`    | JSON-lines from the access-log ring      |
 //! | GET    | `/slo`           | per-route error-budget status, JSON      |
 //! | GET    | `/store`         | storage inventory + journal/compaction   |
-//! | GET    | `/stats/<view>`  | decayed per-view observed-stats profile  |
+//! | GET    | `/stats/<view>`  | merged stats of the view's runs in ring  |
 //! | POST   | `/run/<view>`    | TSV submission in, group summary out     |
 //!
 //! ## Run correlation
@@ -28,11 +27,11 @@
 //! Every `POST /run/<view>` mints a [`RunId`] before the engine runs and
 //! echoes it in the `X-QV-Run-Id` response header (and the JSON body).
 //! The same id keys the run's record in the engine's run ring (its span
-//! trace, drift events, observed plan-node stats and decisions, kept for
-//! the last 256 runs) and is stamped on the root span and the access-log
-//! line — so `GET /runs/<id>` reassembles the whole story of one request
-//! from one record after the fact, and an access-log line is enough to
-//! start the chase.
+//! trace, observed plan-node stats and decisions, kept for the last 256
+//! runs) and is stamped on the root span and the access-log line — so
+//! `GET /runs/<id>` reassembles the whole story of one request from one
+//! record after the fact, and an access-log line is enough to start the
+//! chase.
 //!
 //! ## Concurrency model
 //!
@@ -82,7 +81,7 @@ use qurator::ledger::RUN_CAPACITY;
 use qurator::prelude::*;
 use qurator::spec::ActionKind;
 use qurator_telemetry::json::escape;
-use qurator_telemetry::{AccessLog, AccessRecord, RunId, SloConfig, SloTracker, TelemetryConfig};
+use qurator_telemetry::{AccessLog, AccessRecord, RunId, SloConfig, SloTracker};
 
 use crate::tsv;
 
@@ -118,8 +117,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Observability knobs for one serve instance, on top of the
-/// [`TelemetryConfig`] drift settings.
+/// Observability knobs for one serve instance.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// File the structured access log is appended to (`--access-log`);
@@ -153,18 +151,15 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Publishes `views` on `engine` and switches on drift monitoring per
-    /// `config`. Decision provenance is always on while serving —
-    /// `GET /runs/<id>` serves each run's decisions from its record — but
-    /// bounded to a budget of [`SERVE_LEDGER_CAPACITY`] items. Fails only
-    /// when the `--access-log` sink cannot be opened.
+    /// Publishes `views` on `engine`. Decision provenance is always on
+    /// while serving — `GET /runs/<id>` serves each run's decisions from
+    /// its record — but bounded to a budget of [`SERVE_LEDGER_CAPACITY`]
+    /// items. Fails only when the `--access-log` sink cannot be opened.
     pub fn new(
         engine: QualityEngine,
         views: Vec<QualityViewSpec>,
-        config: &TelemetryConfig,
         options: ServeOptions,
     ) -> Result<Self, String> {
-        engine.enable_observability(config);
         engine.set_provenance_enabled(true);
         engine.ledger().set_trace_capacity(SERVE_LEDGER_CAPACITY);
         let access_log = Arc::new(match &options.access_log_path {
@@ -263,7 +258,6 @@ pub fn route_label(path: &str) -> &'static str {
         "/healthz" => "/healthz",
         "/metrics" => "/metrics",
         "/traces/recent" => "/traces/recent",
-        "/drift" => "/drift",
         "/log/recent" => "/log/recent",
         "/slo" => "/slo",
         "/store" => "/store",
@@ -336,7 +330,6 @@ fn route_inner(
                 run_id: None,
             },
         },
-        ("GET", "/drift") => Response::json(200, qurator_telemetry::drift::global().to_json()),
         ("GET", "/log/recent") => match parse_limit(query, 32) {
             Err(message) => Response::error(400, &message),
             Ok(limit) => Response {
@@ -358,8 +351,7 @@ fn route_inner(
         ("POST", run) if run.starts_with("/run/") => run_view(state, &run["/run/".len()..], body),
         (
             _,
-            "/" | "/healthz" | "/metrics" | "/traces/recent" | "/drift" | "/log/recent" | "/slo"
-            | "/store",
+            "/" | "/healthz" | "/metrics" | "/traces/recent" | "/log/recent" | "/slo" | "/store",
         ) => Response::error(405, &format!("{method} not allowed here")),
         (_, run) if run.starts_with("/run/") => Response::error(405, "use POST with a TSV body"),
         (_, runs) if runs.starts_with("/runs/") => {
@@ -375,10 +367,9 @@ fn route_inner(
 /// `GET /runs/<id>`: the correlation bundle for one run, read from its
 /// one record in the run ring — the span trace (with the run's own span
 /// ids, which the decision traces name), the decision traces (built from
-/// the record while the item budget keeps them), the drift events the
-/// run published, and the run's observed plan-node statistics
-/// (`"stats"`, the EXPLAIN ANALYZE counters — the bundle's one per-node
-/// section). 404 once the run has left the ring.
+/// the record while the item budget keeps them), and the run's observed
+/// plan-node statistics (`"stats"`, the EXPLAIN ANALYZE counters — the
+/// bundle's one per-node section). 404 once the run has left the ring.
 fn run_bundle(state: &ServeState, id: &str) -> Response {
     let Some(run) = RunId::parse(id) else {
         return Response::error(400, &format!("run id {id:?} is not 16 hex chars"));
@@ -398,25 +389,11 @@ fn run_bundle(state: &ServeState, id: &str) -> Response {
         None => "null".to_string(),
     };
     let ledger_json: Vec<String> = record.decision_traces().iter().map(|t| t.to_json()).collect();
-    let events_json: Vec<String> = record
-        .events
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"kind\":\"{}\",\"subject\":\"{}\",\"detail\":\"{}\",\"seq\":{}}}",
-                escape(&e.kind),
-                escape(&e.subject),
-                escape(&e.detail),
-                e.seq
-            )
-        })
-        .collect();
     Response::json(
         200,
         format!(
-            "{{\"run_id\":\"{run}\",\"trace\":{trace_json},\"ledger\":[{}],\"events\":[{}],\"stats\":{stats_json}}}",
-            ledger_json.join(","),
-            events_json.join(",")
+            "{{\"run_id\":\"{run}\",\"trace\":{trace_json},\"ledger\":[{}],\"stats\":{stats_json}}}",
+            ledger_json.join(",")
         ),
     )
 }
@@ -425,15 +402,15 @@ fn index_json(state: &ServeState) -> String {
     let views: Vec<String> =
         state.view_names().iter().map(|v| format!("\"{}\"", escape(v))).collect();
     format!(
-        "{{\"service\":\"qv serve\",\"views\":[{}],\"endpoints\":[\"GET /healthz\",\"GET /metrics\",\"GET /traces/recent\",\"GET /drift\",\"GET /runs/<id>\",\"GET /log/recent\",\"GET /slo\",\"GET /store\",\"GET /stats/<view>\",\"POST /run/<view>\"]}}",
+        "{{\"service\":\"qv serve\",\"views\":[{}],\"endpoints\":[\"GET /healthz\",\"GET /metrics\",\"GET /traces/recent\",\"GET /runs/<id>\",\"GET /log/recent\",\"GET /slo\",\"GET /store\",\"GET /stats/<view>\",\"POST /run/<view>\"]}}",
         views.join(",")
     )
 }
 
-/// `GET /stats/<view>`: the decayed per-view observed-statistics profile
-/// (the same document `--stats-out` writes and `lower_with_profile`
-/// reads). 404 distinguishes an unpublished view from a published view
-/// that has not executed yet.
+/// `GET /stats/<view>`: the observed plan-node statistics of the view's
+/// runs still in the run ring, merged as `qv profile` merges its runs (a
+/// `run_stats` document whose `run_id` is null). 404 distinguishes an
+/// unpublished view from a published view with no run in the ring.
 fn view_stats(state: &ServeState, view: &str) -> Response {
     if !state.views.contains_key(view) {
         return Response::error(
@@ -441,9 +418,9 @@ fn view_stats(state: &ServeState, view: &str) -> Response {
             &format!("unknown view {view:?}; published: {}", state.view_names().join(", ")),
         );
     }
-    match state.engine.stats_profile(view) {
-        Some(profile) => Response::json(200, profile.to_json()),
-        None => Response::error(404, &format!("view {view:?} has no recorded runs yet")),
+    match state.engine.ledger().view_stats(view) {
+        Some(stats) => Response::json(200, stats.to_json()),
+        None => Response::error(404, &format!("view {view:?} has no run in the ring")),
     }
 }
 
@@ -1040,8 +1017,7 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
     fn state() -> ServeState {
         let engine = QualityEngine::with_proteomics_defaults().unwrap();
         let spec = qurator::xmlio::parse_quality_view(VIEW).unwrap();
-        ServeState::new(engine, vec![spec], &TelemetryConfig::default(), ServeOptions::default())
-            .unwrap()
+        ServeState::new(engine, vec![spec], ServeOptions::default()).unwrap()
     }
 
     /// A server on an ephemeral port running on a background thread.
@@ -1164,13 +1140,7 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
             )
             .replace("repositoryRef=\"cache\"", "repositoryRef=\"archive\"");
         let spec = qurator::xmlio::parse_quality_view(&view).unwrap();
-        let state = ServeState::new(
-            engine,
-            vec![spec],
-            &TelemetryConfig::default(),
-            ServeOptions::default(),
-        )
-        .unwrap();
+        let state = ServeState::new(engine, vec![spec], ServeOptions::default()).unwrap();
 
         // The run's annotations land on disk and are flushed before the
         // 200 is acknowledged.
@@ -1198,26 +1168,41 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert!(archive.get("last_compaction_us").unwrap().is_null());
     }
 
+    /// `GET /stats/<view>` is the merge of that view's runs in the ring,
+    /// and nothing else: each view's document equals the merge of its own
+    /// runs' `/runs/<id>` stats.
     #[test]
     fn stats_endpoint_serves_the_observed_profile() {
-        let state = state();
+        use qurator_telemetry::RunStats;
+        let engine = QualityEngine::with_proteomics_defaults().unwrap();
+        let views = [VIEW.to_string(), VIEW.replace("name=\"serve-test\"", "name=\"other\"")];
+        let specs = views.iter().map(|v| qurator::xmlio::parse_quality_view(v).unwrap()).collect();
+        let state = ServeState::new(engine, specs, ServeOptions::default()).unwrap();
         assert_eq!(route(&state, "POST", "/stats/serve-test", "").status, 405);
         assert_eq!(route(&state, "GET", "/stats/missing", "").status, 404);
-        // published but never executed: a distinct 404
+        // published but not run yet: a distinct 404
         let r = route(&state, "GET", "/stats/serve-test", "");
         assert_eq!(r.status, 404, "{}", r.body);
-        assert!(r.body.contains("no recorded runs"), "{}", r.body);
+        assert!(r.body.contains("no run in the ring"), "{}", r.body);
 
-        for _ in 0..2 {
-            assert_eq!(route(&state, "POST", "/run/serve-test", DATA).status, 200);
+        let mut runs: BTreeMap<&str, Vec<RunId>> = BTreeMap::new();
+        for view in ["serve-test", "other", "serve-test"] {
+            let r = route(&state, "POST", &format!("/run/{view}"), DATA);
+            assert_eq!(r.status, 200, "{}", r.body);
+            runs.entry(view).or_default().push(r.run_id.unwrap());
         }
-        let r = route(&state, "GET", "/stats/serve-test", "");
-        assert_eq!(r.status, 200, "{}", r.body);
-        let nodes = qurator_telemetry::schema::validate_stats_profile_json(&r.body).unwrap();
-        assert!(nodes > 0, "profiled nodes expected: {}", r.body);
-        let value = json::parse(&r.body).unwrap();
-        assert_eq!(value.get("view").and_then(|v| v.as_str()), Some("serve-test"));
-        assert_eq!(value.get("runs").and_then(|v| v.as_u64()), Some(2));
+        for (view, ids) in runs {
+            let mut expected = RunStats { view: view.to_string(), ..RunStats::default() };
+            for id in ids {
+                // the bundle's last section is the run's `stats` document
+                let bundle = route(&state, "GET", &format!("/runs/{id}"), "").body;
+                let stats = bundle.split_once(",\"stats\":").unwrap().1.strip_suffix('}').unwrap();
+                expected.merge(&RunStats::parse(stats).unwrap());
+            }
+            let r = route(&state, "GET", &format!("/stats/{view}"), "");
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert_eq!(RunStats::parse(&r.body).unwrap(), expected, "{view}");
+        }
     }
 
     #[test]
@@ -1247,8 +1232,7 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         let spec =
             qurator::xmlio::parse_quality_view(include_str!("../../../samples/splitter_view.xml"))
                 .unwrap();
-        let config = TelemetryConfig::default();
-        let state = ServeState::new(engine, vec![spec], &config, ServeOptions::default()).unwrap();
+        let state = ServeState::new(engine, vec![spec], ServeOptions::default()).unwrap();
         let path = "/run/pmf-confidence-split";
         let first = route(&state, "POST", path, DATA).run_id.expect("first run id");
         assert_eq!(route(&state, "POST", path, DATA).status, 200);
@@ -1464,10 +1448,8 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert!(r.body.contains("serve.requests{route=\"/run\",status=\"200\"}"), "{}", r.body);
         assert!(qurator_telemetry::schema::validate_metrics_text(&r.body).unwrap() > 0);
 
-        // drift endpoint is live (enabled by enable_observability)
-        let r = route(&state, "GET", "/drift", "");
-        let value = json::parse(&r.body).unwrap();
-        assert_eq!(value.get("enabled").and_then(|v| v.as_bool()), Some(true));
+        // the drift monitor is gone, and its endpoint with it
+        assert_eq!(route(&state, "GET", "/drift", "").status, 404);
     }
 
     #[test]

@@ -516,6 +516,39 @@ fn concurrent_runs_over_the_same_ids_each_get_their_solo_answer() {
     assert_eq!(wrong_rounds, 0, "{wrong_rounds} of {ROUNDS} rounds differ from the solo answers");
 }
 
+/// A view with no persistent repository leaves a store root as it found
+/// it: a run's record stays in memory, and only repositories live under
+/// the root.
+#[test]
+fn a_store_root_holds_only_repositories() {
+    let store = qurator_rdf::storage::test_support::TempDir::new("serve-empty-root");
+    let store_dir = store.path().to_str().unwrap().to_string();
+    let run = Command::new(env!("CARGO_BIN_EXE_qv"))
+        .args(["run", &sample("paper_view.xml"), "--data", &sample("hits.tsv")])
+        .args(["--store", &store_dir])
+        .output()
+        .expect("run qv");
+    assert!(run.status.success(), "{run:?}");
+
+    let (child, addr, _stdout) = spawn_serve(&["--store", &store_dir]);
+    let tsv = std::fs::read_to_string(sample("hits.tsv")).expect("hits.tsv");
+    let (status, body) = exchange(
+        &addr,
+        &format!(
+            "POST /run/ispider-pmf-quality HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n{tsv}",
+            tsv.len()
+        ),
+    );
+    assert!(status.contains("200"), "{status}: {body}");
+    sigterm(&child);
+    assert!(wait_exit(child), "expected exit 0 after SIGTERM");
+
+    let left: Vec<_> =
+        std::fs::read_dir(store.path()).unwrap().map(|e| e.unwrap().path()).collect();
+    assert!(left.is_empty(), "the store root gained {left:?}");
+}
+
 #[test]
 fn rejects_bad_serve_flags() {
     let out = Command::new(env!("CARGO_BIN_EXE_qv"))

@@ -6,10 +6,9 @@
 //! conditions, re-run, observe): validate, plan, bind, then walk the bound
 //! plan node by node, recording spans and observed stats in-line. Each
 //! run leaves one record in the engine's run ring ([`crate::ledger`]):
-//! its span trace, the drift events it published, its stats and, with
-//! provenance on, a columnar capture of its consolidated map and groups,
-//! from which [`QualityEngine::why`] and [`QualityEngine::ledger`] build
-//! decision traces when asked.
+//! its span trace, its stats and, with provenance on, a columnar capture
+//! of its consolidated map and groups, from which [`QualityEngine::why`]
+//! and [`QualityEngine::ledger`] build decision traces when asked.
 //! `execute_view_with` selects a [`qurator_plan::PlanConfig`] (the
 //! unoptimized baseline) and `execute_view_run` takes a caller-minted
 //! [`RunId`].
@@ -27,7 +26,7 @@ use crate::spec::QualityViewSpec;
 use crate::validate::{self, ValidatedView};
 use crate::{exec, planner, QuratorError, Result};
 use parking_lot::RwLock;
-use qurator_annotations::catalog::{check_repository_name, STATS_DIR};
+use qurator_annotations::catalog::check_repository_name;
 use qurator_annotations::RepositoryCatalog;
 use qurator_ontology::binding::BindingRegistry;
 use qurator_ontology::IqModel;
@@ -36,10 +35,9 @@ use qurator_rdf::namespace::q;
 use qurator_services::stdlib::{FieldCaptureAnnotator, StatClassifierAssertion, ZScoreAssertion};
 use qurator_services::{AnnotationService, AssertionService, DataSet, ServiceRegistry};
 use qurator_telemetry::span::{SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession};
-use qurator_telemetry::stats::{profile_file_name, view_key, RunStats, StatsProfile};
-use qurator_telemetry::{DecisionTrace, LedgerEvent, RunId, TelemetryConfig};
+use qurator_telemetry::stats::RunStats;
+use qurator_telemetry::{DecisionTrace, RunId, TelemetryConfig};
 use qurator_workflow::Workflow;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -69,16 +67,11 @@ pub struct QualityEngine {
     registry: Arc<ServiceRegistry>,
     catalog: Arc<RepositoryCatalog>,
     bindings: RwLock<BindingRegistry>,
-    /// The ring of run records: traces, events, stats and decisions.
+    /// The ring of run records: traces, stats and decisions.
     ledger: RunLedger,
-    /// This engine's cursor into the global drift monitor's event log.
-    drift_cursor: RwLock<Option<u64>>,
     /// Observed-statistics collection switch (on by default; the
     /// paired-delta bench flips it off to price collection itself).
     stats_enabled: AtomicBool,
-    /// Per-view decayed stats profiles, persisted under
-    /// `<store root>/stats/` when a store root is set.
-    stats_profiles: RwLock<BTreeMap<String, StatsProfile>>,
 }
 
 impl QualityEngine {
@@ -90,9 +83,7 @@ impl QualityEngine {
             registry: Arc::new(ServiceRegistry::new()),
             bindings: RwLock::new(BindingRegistry::new()),
             ledger: RunLedger::default(),
-            drift_cursor: RwLock::new(None),
             stats_enabled: AtomicBool::new(true),
-            stats_profiles: RwLock::new(BTreeMap::new()),
             iq,
         }
     }
@@ -179,65 +170,6 @@ impl QualityEngine {
         self.ledger.stats(run)
     }
 
-    /// The decayed stats profile of a view: the in-memory aggregate when
-    /// this engine has executed the view, else (when a store root is set)
-    /// whatever a previous process persisted under `<root>/stats/`.
-    pub fn stats_profile(&self, view: &str) -> Option<StatsProfile> {
-        if let Some(profile) = self.stats_profiles.read().get(view).cloned() {
-            return Some(profile);
-        }
-        let root = self.catalog.store_root()?;
-        StatsProfile::load(&root.join(STATS_DIR).join(profile_file_name(view))).ok()
-    }
-
-    /// Writes every in-memory stats profile under `dir` (one JSON file
-    /// per view). Returns the paths written.
-    pub fn save_stats_profiles(&self, dir: &std::path::Path) -> Result<Vec<std::path::PathBuf>> {
-        let mut written = Vec::new();
-        for (view, profile) in self.stats_profiles.read().iter() {
-            let path = dir.join(profile_file_name(view));
-            profile.save(&path).map_err(|e| {
-                QuratorError::Execution(format!("writing stats profile {}: {e}", path.display()))
-            })?;
-            written.push(path);
-        }
-        Ok(written)
-    }
-
-    /// Folds a finished run's stats into the view's decayed profile
-    /// (persisting the profile when a store root is set), and returns
-    /// them for the run's record; `None` when collection was off. A run
-    /// whose node set differs from the held profile's (an edited view)
-    /// starts a fresh profile under its new key.
-    fn fold_stats(&self, stats: RunStats) -> Option<RunStats> {
-        let stats = (!stats.nodes.is_empty()).then_some(stats);
-        if let Some(stats) = &stats {
-            let key = view_key(&stats.view, stats.nodes.keys().map(|s| s.as_str()));
-            let path = self
-                .catalog
-                .store_root()
-                .map(|root| root.join(STATS_DIR).join(profile_file_name(&stats.view)));
-            let mut profiles = self.stats_profiles.write();
-            let profile = profiles.entry(stats.view.clone()).or_insert_with(|| {
-                // continue a persisted profile's decay across restarts
-                path.as_ref()
-                    .and_then(|path| StatsProfile::load(path).ok())
-                    .filter(|persisted| persisted.key == key)
-                    .unwrap_or_else(|| StatsProfile::new(stats.view.clone(), key))
-            });
-            if profile.key != key {
-                *profile = StatsProfile::new(stats.view.clone(), key);
-            }
-            profile.observe(stats);
-            if let Some(path) = path {
-                // best-effort persistence: a read-only store directory
-                // must not fail the run itself
-                let _ = profile.save(&path);
-            }
-        }
-        stats
-    }
-
     /// Projects the repository catalog to the facts the static analyzer
     /// consumes: name, persistence, and the evidence-type inventory of
     /// each bound store (drives the QV024 availability domain).
@@ -263,9 +195,9 @@ impl QualityEngine {
         self.bindings.read().iter().collect()
     }
 
-    /// The run ledger: the ring of recent run records that traces, drift
-    /// events, run stats and decision provenance are read from. Decision
-    /// capture is off by default; enable it with
+    /// The run ledger: the ring of recent run records that traces, run
+    /// stats and decision provenance are read from. Decision capture is
+    /// off by default; enable it with
     /// [`QualityEngine::set_provenance_enabled`] before an execution.
     pub fn ledger(&self) -> &RunLedger {
         &self.ledger
@@ -296,41 +228,11 @@ impl QualityEngine {
         self.ledger.last_trace()
     }
 
-    /// Switches the engine into continuous-observability mode: the
-    /// process-global drift monitor is configured from `config.drift`
-    /// (the QA operator path feeds it, and each threshold crossing lands
-    /// in the record of the run that finished next).
-    pub fn enable_observability(&self, config: &TelemetryConfig) {
-        qurator_telemetry::drift::global().configure(config.drift.clone());
-    }
-
-    /// The drift threshold-crossings the process-global monitor logged
-    /// since this engine last looked, stamped with the run that is
-    /// finishing. Each engine keeps its own cursor: the monitor's event
-    /// log has broadcast semantics, so several engines (or tests) consume
-    /// it independently.
-    fn drift_events(&self, run: RunId) -> Vec<LedgerEvent> {
-        let monitor = qurator_telemetry::drift::global();
-        if !monitor.enabled() {
-            return Vec::new();
-        }
-        let mut cursor = self.drift_cursor.write();
-        let events = monitor.events_since(*cursor);
-        *cursor = events.last().map(|e| e.seq).or(*cursor);
-        events
-            .into_iter()
-            .map(|event| LedgerEvent {
-                kind: Arc::from("qa.drift.threshold"),
-                subject: Arc::from(event.assertion.as_str()),
-                detail: format!(
-                    "classification distribution drifted from reference: L1={:.3}, chi2={:.1}",
-                    event.l1, event.chi2
-                ),
-                seq: event.seq,
-                run_id: Some(run),
-            })
-            .collect()
-    }
+    /// Does nothing: the drift monitor it configured is gone, and
+    /// [`TelemetryConfig`] has no settings left. Only the `e2e_layers/`
+    /// benchmark harness still calls this; the next change to that
+    /// benchmark removes the call and then this method.
+    pub fn enable_observability(&self, _config: &TelemetryConfig) {}
 
     /// Registers an annotation service and binds its concept.
     pub fn register_annotation_service(&self, service: Arc<dyn AnnotationService>) -> Result<()> {
@@ -395,23 +297,6 @@ impl QualityEngine {
     pub fn plan_with(&self, spec: &QualityViewSpec, config: &PlanConfig) -> Result<PhysicalPlan> {
         let view = self.validate(spec)?;
         planner::physical_plan(&view, &self.iq, config)
-    }
-
-    /// The physical plan lowered with the view's observed stats profile
-    /// (when one exists — in memory or persisted under the store root):
-    /// the `stats-profile` pass installs the decayed cardinalities as
-    /// [`PhysicalPlan::observed_rows`], the cost-model input. Without a
-    /// profile this is identical to [`QualityEngine::plan_with`].
-    pub fn plan_with_stats(
-        &self,
-        spec: &QualityViewSpec,
-        config: &PlanConfig,
-    ) -> Result<PhysicalPlan> {
-        let view = self.validate(spec)?;
-        let logical = planner::logical_plan(&view, &self.iq);
-        let profile = self.stats_profile(&spec.name);
-        qurator_plan::lower_with_profile(&logical, config, profile.as_ref())
-            .map_err(|e| QuratorError::Compile(e.to_string()))
     }
 
     /// Runs the full `qv check` analysis: every view-level lint pass, the
@@ -526,8 +411,8 @@ impl QualityEngine {
     }
 
     /// Direct interpretation under a caller-minted run id: the run's
-    /// record is keyed by `run`, and its root `view:` span, decision
-    /// traces and drift events all carry it.
+    /// record is keyed by `run`, and its root `view:` span and decision
+    /// traces carry it.
     pub fn execute_view_run(
         &self,
         spec: &QualityViewSpec,
@@ -578,10 +463,11 @@ impl QualityEngine {
             }
         };
         rec.attr(view_span, "rejected", rejected as usize);
-        // fold the stats before the release: long-lived allocations made
+        // drain the stats before the release: long-lived allocations made
         // right after the caches are freed land in the freed heap,
         // fragment it and raise the peak RSS of later runs
-        let stats = self.fold_stats(bound.stats.drain(&plan.view, Some(run), dataset.len() as u64));
+        let stats = bound.stats.drain(&plan.view, Some(run), dataset.len() as u64);
+        let stats = (!stats.nodes.is_empty()).then_some(stats);
         // on the error path, closes whichever node or phase span the
         // failure interrupted
         rec.end_open_except(view_span);
@@ -596,7 +482,6 @@ impl QualityEngine {
             error: result.is_err(),
             rejected,
             trace: Arc::new(SpanTrace::from_spans(rec.finish())),
-            events: self.drift_events(run),
             stats,
             decisions,
         });
@@ -1011,20 +896,6 @@ mod tests {
         );
         assert_eq!(engine.run_stats(first).unwrap().run_id, Some(first));
         assert_eq!(engine.ledger().record(second).unwrap().decision_traces().len(), 5);
-    }
-
-    #[test]
-    fn renaming_a_node_starts_a_fresh_profile() {
-        let engine = QualityEngine::with_proteomics_defaults().unwrap();
-        let mut spec = QualityViewSpec::paper_example();
-        engine.execute_view(&spec, &imprint_dataset()).unwrap();
-        assert_eq!(engine.stats_profile(&spec.name).unwrap().runs, 1);
-        spec.actions[0].name = "renamed".into();
-        engine.execute_view(&spec, &imprint_dataset()).unwrap();
-        let profile = engine.stats_profile(&spec.name).unwrap();
-        assert_eq!(profile.runs, 1, "the renamed view starts over");
-        assert!(profile.node("renamed").is_some());
-        assert!(profile.node("filter top k score").is_none());
     }
 
     #[test]

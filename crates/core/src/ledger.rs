@@ -1,18 +1,19 @@
 //! The engine's per-run memory: one bounded ring of [`RunRecord`]s.
 //!
 //! A record holds what one finished run leaves behind: its span trace,
-//! the drift events it published, its observed plan-node statistics and,
-//! when decision provenance is on, a columnar capture of its consolidated
-//! annotation map (paper §4.1, `Amap : d ↦ {(e, v)}` plus the QA tags)
-//! and of the groups its actions cut from it. Every answer about a run
+//! its observed plan-node statistics and, when decision provenance is
+//! on, a columnar capture of its consolidated annotation map (paper
+//! §4.1, `Amap : d ↦ {(e, v)}` plus the QA tags) and of the groups its
+//! actions cut from it. Every answer about a run
 //! reads its one record: [`RunLedger::record`] (`GET /runs/<id>`),
-//! [`RunLedger::recent_jsonl`] (`GET /traces/recent`), and the decision
+//! [`RunLedger::recent_jsonl`] (`GET /traces/recent`),
+//! [`RunLedger::view_stats`] (`GET /stats/<view>`), and the decision
 //! traces built when a reader asks, [`RunLedger::why`],
 //! [`RunLedger::find`] (`qv explain`) and [`RunLedger::annotation_map`]
 //! (`qv run --explain`).
 //!
 //! The ring has two bounds. It keeps at most [`RUN_CAPACITY`] records, so
-//! a run's trace, events and stats live exactly as long as its record.
+//! a run's trace and stats live exactly as long as its record.
 //! [`RunLedger::set_trace_capacity`] sets an item budget over the
 //! decisions the records hold: past the budget the oldest records lose
 //! their decisions but keep the rest, and the newest run is always kept
@@ -31,7 +32,7 @@ use qurator_rdf::term::{Iri, Term};
 use qurator_telemetry::json::escape;
 use qurator_telemetry::span::SpanTrace;
 use qurator_telemetry::{
-    ActionRecord, AssertionRecord, DecisionTrace, EvidenceRecord, LedgerEvent, RunId, RunStats,
+    ActionRecord, AssertionRecord, DecisionTrace, EvidenceRecord, RunId, RunStats,
 };
 
 use crate::operators::GroupResult;
@@ -54,8 +55,6 @@ pub struct RunRecord {
     /// The run's finished span trace. Its span ids are the ones the
     /// run's decision traces name.
     pub trace: Arc<SpanTrace>,
-    /// The drift threshold crossings published when the run finished.
-    pub events: Vec<LedgerEvent>,
     /// Observed plan-node statistics; `None` when collection was off.
     pub stats: Option<RunStats>,
     /// `None` when provenance was off, the run failed, or the item budget
@@ -375,6 +374,23 @@ impl RunLedger {
         self.read_run(run, |r| r.stats.clone()).flatten()
     }
 
+    /// The observed statistics of every run of `view` still in the ring,
+    /// merged with [`RunStats::merge`] (run id `None`); `None` when no
+    /// such run recorded any. Merged under the ring's lock, so no record
+    /// is copied.
+    pub fn view_stats(&self, view: &str) -> Option<RunStats> {
+        let ring = self.ring.read();
+        let mut merged: Option<RunStats> = None;
+        for stats in
+            ring.records.iter().filter(|r| &*r.view == view).filter_map(|r| r.stats.as_ref())
+        {
+            merged
+                .get_or_insert_with(|| RunStats { view: view.into(), ..RunStats::default() })
+                .merge(stats);
+        }
+        merged
+    }
+
     /// The span trace of the newest run.
     pub fn last_trace(&self) -> Option<Arc<SpanTrace>> {
         self.ring.read().records.back().map(|r| r.trace.clone())
@@ -483,6 +499,7 @@ mod tests {
     use super::*;
     use qurator_telemetry::schema::validate_trace_jsonl;
     use qurator_telemetry::span::{AttrValue, Span, SpanId, SpanKind};
+    use qurator_telemetry::NodeStats;
 
     fn term(i: usize) -> Term {
         Term::iri(format!("urn:lsid:t:h:{i:04}"))
@@ -516,7 +533,6 @@ mod tests {
             error: false,
             rejected: 0,
             trace: trace(run),
-            events: Vec::new(),
             stats: None,
             decisions: None,
         }
@@ -632,23 +648,44 @@ mod tests {
         let ledger = RunLedger::default();
         let (first, second) = (RunId::from_u64(1), RunId::from_u64(2));
         ledger.push(sample_record(first));
-        let event = LedgerEvent {
-            kind: "qa.drift.threshold".into(),
-            subject: "S".into(),
-            detail: "drifted".into(),
-            seq: 0,
-            run_id: Some(second),
-        };
-        ledger.push(RunRecord { events: vec![event], ..record(2, 7..8) });
+        ledger.push(record(2, 7..8));
         assert_eq!(decisions_of(&ledger, first).len(), 1);
         assert_eq!(decisions_of(&ledger, first)[0].item, ITEM);
         assert!(ledger.record(RunId::from_u64(3)).is_none());
-        // one lookup answers with the whole record, events included
+        // one lookup answers with the whole record
         let whole = ledger.record(second).unwrap();
         assert_eq!(whole.decision_traces()[0].item, "urn:lsid:t:h:0007");
-        assert_eq!(whole.events.len(), 1);
-        assert!(ledger.record(first).unwrap().events.is_empty());
+        assert_eq!(whole.stats.as_ref().unwrap().run_id, Some(second));
         assert!(Arc::ptr_eq(&whole.trace, &ledger.trace(second).unwrap()));
+    }
+
+    #[test]
+    fn view_stats_merges_that_views_runs_in_the_ring() {
+        let ledger = RunLedger::default();
+        let run_of = |run: u64, view: &str, rows: u64| {
+            let run_id = RunId::from_u64(run);
+            let mut stats = RunStats {
+                view: view.into(),
+                run_id: Some(run_id),
+                items: rows,
+                ..RunStats::default()
+            };
+            let keep =
+                NodeStats { calls: 1, rows_in: rows, rows_out: rows / 2, ..NodeStats::default() };
+            stats.nodes.insert("keep".into(), keep);
+            RunRecord { view: view.into(), stats: Some(stats), ..bare(run_id) }
+        };
+        ledger.push(run_of(1, "a", 4));
+        ledger.push(run_of(2, "b", 10));
+        ledger.push(run_of(3, "a", 6));
+        ledger.push(bare(RunId::from_u64(4)));
+        let a = ledger.view_stats("a").unwrap();
+        assert_eq!((a.view.as_str(), a.run_id, a.items), ("a", None, 10));
+        let keep = a.node("keep").unwrap();
+        assert_eq!((keep.calls, keep.rows_in, keep.rows_out), (2, 10, 5));
+        assert_eq!(ledger.view_stats("b").unwrap().items, 10);
+        assert!(ledger.view_stats("v").is_none(), "its one run recorded no stats");
+        assert!(ledger.view_stats("nope").is_none());
     }
 
     #[test]

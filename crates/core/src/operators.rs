@@ -361,13 +361,6 @@ impl AssertionProcessor {
         for (label, count) in &per_class {
             metrics.counter_with("qa.classify.count", &[("class", label)]).add(*count);
         }
-        // feed the drift monitor the same aggregation (one call per
-        // node×batch; a no-op when the monitor is disabled)
-        if !per_class.is_empty() {
-            let counts: Vec<(&str, u64)> =
-                per_class.iter().map(|(label, count)| (label.as_str(), *count)).collect();
-            qurator_telemetry::drift::global().observe_bulk(&self.tag, &counts);
-        }
         if let Some(stats) = &self.stats {
             stats.record(
                 &self.name,

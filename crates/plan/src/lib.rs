@@ -32,7 +32,7 @@ pub use logical::{
     ActKind, ActNode, AnnotateNode, AssertNode, Binding, EnrichNode, LogicalNode, LogicalPlan,
     TagKind, CONSOLIDATE_NODE, ENRICH_NODE,
 };
-pub use passes::{lower, lower_with_profile};
+pub use passes::lower;
 pub use physical::{EnrichGroup, PassReport, PhysicalAssert, PhysicalPlan, PlanConfig};
 
 /// Errors from plan lowering (a malformed logical plan — e.g. a tag

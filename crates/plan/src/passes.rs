@@ -10,8 +10,6 @@
 //! |------------------|---------------------------------------------------|
 //! | `dead-node-elim` | drop volatile annotators nobody reads (skipped    |
 //! |                  | under `--no-opt`)                                 |
-//! | `stats-profile`  | install observed cardinalities (only when a       |
-//! |                  | profile is supplied)                              |
 //! | `wave-schedule`  | antichain schedule for the parallel enactor       |
 //!
 //! Every pass is semantics-preserving: an optimized and an unoptimized
@@ -30,29 +28,12 @@ use crate::logical::{Binding, LogicalPlan, CONSOLIDATE_NODE, ENRICH_NODE};
 use crate::physical::{EnrichGroup, PassReport, PhysicalAssert, PhysicalPlan, PlanConfig};
 use crate::{PlanError, Result};
 use qurator_rdf::term::Iri;
-use qurator_telemetry::stats::StatsProfile;
 use std::time::Instant;
 
 /// Lowers a logical plan to a physical plan, running `dead-node-elim`
 /// unless `config.optimize` is off (wave scheduling always runs — it is
 /// required output, not an optimization).
 pub fn lower(logical: &LogicalPlan, config: &PlanConfig) -> Result<PhysicalPlan> {
-    lower_with_profile(logical, config, None)
-}
-
-/// Like [`lower`], but additionally consults a persisted observed-stats
-/// profile (decayed per-node aggregates from previous runs of the same
-/// view, see [`StatsProfile`]). When a profile is supplied, a
-/// `stats-profile` pass runs after `dead-node-elim` and installs the
-/// observed output cardinalities on [`PhysicalPlan::observed_rows`] —
-/// the hook through which the cost model reads real cardinalities
-/// instead of guessing. With `None` this is exactly [`lower`],
-/// byte-for-byte.
-pub fn lower_with_profile(
-    logical: &LogicalPlan,
-    config: &PlanConfig,
-    profile: Option<&StatsProfile>,
-) -> Result<PhysicalPlan> {
     let mut plan = PhysicalPlan {
         view: logical.view.clone(),
         optimized: config.optimize,
@@ -63,14 +44,10 @@ pub fn lower_with_profile(
         actions: logical.actions().cloned().collect(),
         waves: Vec::new(),
         passes: Vec::new(),
-        observed_rows: Vec::new(),
     };
 
     if config.optimize {
         run_pass(&mut plan, "dead-node-elim", dead_node_elim);
-    }
-    if let Some(profile) = profile {
-        run_pass(&mut plan, "stats-profile", |plan| stats_profile(plan, profile));
     }
     run_pass(&mut plan, "wave-schedule", wave_schedule);
     Ok(plan)
@@ -171,24 +148,6 @@ fn dead_node_elim(plan: &mut PhysicalPlan) -> PassOutcome {
         }
     });
     PassOutcome { changed: !notes.is_empty(), notes }
-}
-
-/// stats-profile: copy the decayed observed output cardinalities of
-/// previous runs onto the plan, in process order, for nodes the profile
-/// has seen. Purely informational today (EXPLAIN shows the figures);
-/// the cost model reads `observed_rows` when it needs real
-/// cardinalities.
-fn stats_profile(plan: &mut PhysicalPlan, profile: &StatsProfile) -> PassOutcome {
-    let names: Vec<String> = plan.process_order().iter().map(|s| s.to_string()).collect();
-    let mut notes =
-        vec![format!("profile: {} run(s) observed, alpha {}", profile.runs, profile.alpha)];
-    for name in names {
-        let Some(node) = profile.node(&name) else { continue };
-        let rows = node.rows_out.round() as u64;
-        notes.push(format!("{name}: ~{rows} rows out, ~{} evidence", node.evidence.round() as u64));
-        plan.observed_rows.push((name, rows));
-    }
-    PassOutcome { changed: !plan.observed_rows.is_empty(), notes }
 }
 
 /// wave-schedule: antichains in dependency order — annotators first (the
@@ -359,40 +318,6 @@ mod tests {
             ]
         );
         assert_eq!(plan.assertions[1].depends_on, vec!["qa1".to_string()]);
-    }
-
-    #[test]
-    fn stats_profile_installs_observed_rows() {
-        use qurator_telemetry::stats::{view_key, NodeStats, RunStats, StatsProfile};
-
-        let logical = base_plan();
-        let baseline = lower(&logical, &PlanConfig::default()).unwrap();
-        assert!(baseline.observed_rows.is_empty(), "no profile, no observed figures");
-
-        let mut run = RunStats { view: "t".into(), run_id: None, items: 5, ..Default::default() };
-        run.nodes.insert(
-            "qa1".into(),
-            NodeStats { calls: 1, rows_in: 5, rows_out: 5, evidence: 0, hits: 5, wall_ns: 10 },
-        );
-        run.nodes.insert(
-            "keep".into(),
-            NodeStats { calls: 1, rows_in: 5, rows_out: 3, evidence: 0, hits: 3, wall_ns: 10 },
-        );
-        let node_names = baseline.process_order();
-        let mut profile = StatsProfile::new("t", view_key("t", node_names.iter().copied()));
-        profile.observe(&run);
-
-        let plan = lower_with_profile(&logical, &PlanConfig::default(), Some(&profile)).unwrap();
-        assert_eq!(plan.observed_rows("qa1"), Some(5));
-        assert_eq!(plan.observed_rows("keep"), Some(3));
-        assert_eq!(plan.observed_rows("ann"), None, "profile never saw it");
-        let pass = plan.passes.iter().find(|p| p.pass == "stats-profile").unwrap();
-        assert!(pass.changed);
-        assert!(pass.notes[0].contains("1 run(s) observed"));
-        // the profile pass never perturbs anything the executors consume
-        assert_eq!(plan.waves, baseline.waves);
-        assert_eq!(plan.enrich, baseline.enrich);
-        assert_eq!(plan.actions, baseline.actions);
     }
 
     #[test]

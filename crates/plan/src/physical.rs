@@ -72,12 +72,6 @@ pub struct PhysicalPlan {
     pub waves: Vec<Vec<String>>,
     /// What each pass did, in pipeline order.
     pub passes: Vec<PassReport>,
-    /// Observed per-node output cardinalities (rounded decayed averages)
-    /// installed by the `stats-profile` pass when a persisted
-    /// [`qurator_telemetry::stats::StatsProfile`] is handed to
-    /// [`crate::passes::lower_with_profile`] — the cost-model input.
-    /// Empty when no profile was supplied.
-    pub observed_rows: Vec<(String, u64)>,
 }
 
 impl PhysicalPlan {
@@ -108,11 +102,5 @@ impl PhysicalPlan {
     /// the view writes it — matching the pre-plan executors' default).
     pub fn repository_persistent(&self, name: &str) -> bool {
         self.persistence.iter().find(|(r, _)| r == name).map(|(_, p)| *p).unwrap_or(false)
-    }
-
-    /// The observed output cardinality of a node, when the plan was
-    /// lowered with a stats profile.
-    pub fn observed_rows(&self, node: &str) -> Option<u64> {
-        self.observed_rows.iter().find(|(n, _)| n == node).map(|(_, rows)| *rows)
     }
 }

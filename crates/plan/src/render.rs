@@ -7,10 +7,9 @@
 //!
 //! [`render_analyze_text`] / [`render_analyze_json`] are the EXPLAIN
 //! ANALYZE renderers: the plan tree annotated with the *observed*
-//! per-node statistics of one run ([`RunStats`]), plus the planned
-//! cardinalities when the plan was lowered with a stats profile. With
-//! `timing: false` the text form omits run id and wall times, making it
-//! byte-identical across backends and runs — the
+//! per-node statistics of one run ([`RunStats`]), or of several merged.
+//! With `timing: false` the text form omits run id and wall times,
+//! making it byte-identical across backends and runs — the
 //! `backend_equivalence`-style tests rely on this.
 
 use crate::logical::{ActKind, Binding, CONSOLIDATE_NODE, ENRICH_NODE};
@@ -278,9 +277,6 @@ pub fn render_analyze_text(plan: &PhysicalPlan, stats: &RunStats, timing: bool) 
             "  {kind} {name:?}: calls {} | rows {} -> {} | evidence {} | hits {}",
             n.calls, n.rows_in, n.rows_out, n.evidence, n.hits
         );
-        if let Some(planned) = plan.observed_rows(name) {
-            let _ = write!(out, " | planned ~{planned} rows");
-        }
         if timing {
             let _ = write!(out, " | self {:.1} us", n.wall_ns as f64 / 1000.0);
         }
@@ -291,8 +287,6 @@ pub fn render_analyze_text(plan: &PhysicalPlan, stats: &RunStats, timing: bool) 
 
 /// Renders the machine-readable EXPLAIN ANALYZE document (validated by
 /// [`qurator_telemetry::schema::validate_analyze_json`]).
-/// `planned_rows` is the profile figure when the plan was lowered with
-/// one, else `null`.
 pub fn render_analyze_json(plan: &PhysicalPlan, stats: &RunStats) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"type\": \"analyze\",\n");
@@ -313,13 +307,9 @@ pub fn render_analyze_json(plan: &PhysicalPlan, stats: &RunStats) -> String {
             out.push(',');
         }
         first = false;
-        let planned = match plan.observed_rows(name) {
-            Some(rows) => rows.to_string(),
-            None => "null".to_string(),
-        };
         let _ = write!(
             out,
-            "\n    {{\"node\": \"{}\", \"kind\": \"{kind}\", \"calls\": {}, \"rows_in\": {}, \"rows_out\": {}, \"evidence\": {}, \"hits\": {}, \"planned_rows\": {planned}, \"wall_us\": {:.3}}}",
+            "\n    {{\"node\": \"{}\", \"kind\": \"{kind}\", \"calls\": {}, \"rows_in\": {}, \"rows_out\": {}, \"evidence\": {}, \"hits\": {}, \"wall_us\": {:.3}}}",
             escape(name),
             n.calls,
             n.rows_in,
@@ -442,12 +432,6 @@ mod tests {
         let json = render_analyze_json(&plan, &sample_stats());
         let nodes = qurator_telemetry::schema::validate_analyze_json(&json).expect("valid analyze");
         assert_eq!(nodes, 4, "ann, Enrich, qa, keep — consolidate omitted");
-        let value = qurator_telemetry::json::parse(&json).unwrap();
-        let nodes = value.get("nodes").and_then(|v| v.as_array()).unwrap();
-        // no profile on this plan: planned_rows is null everywhere
-        assert!(nodes
-            .iter()
-            .all(|n| matches!(n.get("planned_rows"), Some(qurator_telemetry::json::Value::Null))));
     }
 
     #[test]

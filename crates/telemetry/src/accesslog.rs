@@ -5,7 +5,7 @@
 //! `--access-log <path>`, are appended to disk as they arrive. Each
 //! record carries the request's [`RunId`] when one was minted, so an
 //! access-log line is the entry point into the full correlation chain
-//! (trace → ledger → drift) via `GET /runs/<id>`.
+//! (trace → ledger → stats) via `GET /runs/<id>`.
 //!
 //! Shards are picked round-robin by the record's global sequence
 //! number, so concurrent workers land on different mutexes most of the

@@ -181,24 +181,6 @@ impl DecisionTrace {
     }
 }
 
-/// A run-level (not per-item) event worth remembering alongside the
-/// decision traces — today: quality-drift threshold crossings republished
-/// from [`crate::drift::DriftMonitor`]. Unlike per-item capture, events
-/// are rare and not gated on the provenance switch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LedgerEvent {
-    /// Event kind, e.g. `qa.drift.threshold`.
-    pub kind: Arc<str>,
-    /// What the event is about (the assertion name for drift events).
-    pub subject: Arc<str>,
-    /// Human-readable detail.
-    pub detail: String,
-    /// Source sequence number (the drift monitor's, for drift events).
-    pub seq: u64,
-    /// The run whose completion tripped the event, if known.
-    pub run_id: Option<RunId>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,31 +20,25 @@
 //!   the span that produced it — the [`ledger::DecisionTrace`] that
 //!   answers `why(item)`.
 //!
-//! The engine keeps what a finished run produced (its span trace, drift
-//! events, stats and decisions) in one record of its run ring
-//! (`qurator::ledger`); this crate defines the pieces and keeps no run
-//! of its own.
+//! The engine keeps what a finished run produced (its span trace, stats
+//! and decisions) in one record of its run ring (`qurator::ledger`);
+//! this crate defines the pieces and keeps no run of its own.
 //!
-//! On top of the per-run pillars sits the continuous-observability layer
-//! for long-lived engines (`qv serve`):
+//! On top of the per-run pillars sits the layer for long-lived engines
+//! (`qv serve`):
 //!
-//! * [`drift`] — sliding-window QA-classification distributions compared
-//!   (L1 / χ²) against a reference window (configured by
-//!   [`drift::TelemetryConfig`]), with threshold-crossing events
-//!   republished into the record of the run that tripped them;
 //! * [`profile`] — a folded-stack (flamegraph) exporter over span
 //!   traces;
 //! * [`runid`] — the correlation spine: a [`runid::RunId`] minted per
-//!   request/invocation and stamped onto spans, decision traces and
-//!   drift-crossing events, and keying the engine's record of the run;
+//!   request/invocation and stamped onto spans and decision traces, and
+//!   keying the engine's record of the run;
 //! * [`accesslog`] — a bounded, sharded structured access log (one JSON
 //!   line per served request, each carrying its run id);
 //! * [`slo`] — per-route latency/availability error budgets over a
 //!   sliding window of the existing request metrics;
 //! * [`stats`] — observed plan-node statistics (EXPLAIN ANALYZE):
-//!   per-run [`stats::RunStats`] merged across workers plus persisted
-//!   per-view [`stats::StatsProfile`] decayed aggregates that feed the
-//!   plan pass pipeline's cost decisions;
+//!   per-run [`stats::RunStats`] merged across workers, and across runs
+//!   for `qv profile` and `GET /stats/<view>`;
 //! * [`naming`] — the metric-name convention lint and committed
 //!   allowlist enforced by `qv telemetry-check`.
 //!
@@ -58,7 +52,6 @@
 //! without cycles.
 
 pub mod accesslog;
-pub mod drift;
 pub mod export;
 pub mod json;
 pub mod ledger;
@@ -72,14 +65,21 @@ pub mod span;
 pub mod stats;
 
 pub use accesslog::{AccessLog, AccessRecord};
-pub use drift::{DriftConfig, DriftEvent, DriftMonitor, TelemetryConfig};
-pub use ledger::{ActionRecord, AssertionRecord, DecisionTrace, EvidenceRecord, LedgerEvent};
+pub use ledger::{ActionRecord, AssertionRecord, DecisionTrace, EvidenceRecord};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::Profile;
 pub use runid::RunId;
 pub use slo::{RouteSlo, SloConfig, SloTracker};
 pub use span::{AttrValue, Span, SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession};
-pub use stats::{NodeStats, RunStats, StatsCollector, StatsProfile};
+pub use stats::{NodeStats, RunStats, StatsCollector};
+
+/// Configuration for `QualityEngine::enable_observability`. It has no
+/// settings: the drift monitor it configured is gone, and everything
+/// else a run records is always on. It stays, with the no-op method,
+/// because the `e2e_layers/` benchmark harness still calls that method;
+/// the next change to that harness removes both.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TelemetryConfig {}
 
 /// The process-wide metrics registry (see [`metrics::global`]).
 pub fn metrics() -> &'static MetricsRegistry {

@@ -34,9 +34,6 @@ pub const ALLOWLIST: &[&str] = &[
     "plan.pass.runs",
     "qa.assert.count",
     "qa.classify.count",
-    "qa.drift.crossings",
-    "qa.drift.distance",
-    "qa.drift.windows",
     "serve.accesslog.sink_error",
     "serve.queue.depth",
     "serve.read.error",

@@ -4,10 +4,10 @@
 //! /run/<view>` request, each `qv run` / `qv profile` invocation) and
 //! threaded through everything that run produces: the root span carries
 //! it as an attribute, it keys the engine's record of the run (its span
-//! trace, stats and decisions), every decision trace is stamped with it,
-//! and drift-crossing ledger events reference the run that tripped them. Given the 16-hex-char rendering from an
-//! `X-QV-Run-Id` response header, `GET /runs/<id>` (or the exporters)
-//! can reassemble the whole picture after the fact.
+//! trace, stats and decisions), and every decision trace is stamped with
+//! it. Given the 16-hex-char rendering from an `X-QV-Run-Id` response
+//! header, `GET /runs/<id>` (or the exporters) can reassemble the whole
+//! picture after the fact.
 //!
 //! Ids are derived by running a process-unique counter through
 //! splitmix64, seeded with wall-clock + pid entropy so two processes

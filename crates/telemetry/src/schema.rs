@@ -372,14 +372,6 @@ pub fn validate_analyze_json(input: &str) -> Result<usize, String> {
     Ok(nodes.len())
 }
 
-/// Validates a persisted per-view stats profile (as written under
-/// `<store>/stats/` or `--stats-out` and served by `GET /stats/<view>`).
-/// Returns the number of profiled nodes on success.
-pub fn validate_stats_profile_json(input: &str) -> Result<usize, String> {
-    let profile = crate::stats::StatsProfile::parse(input)?;
-    Ok(profile.nodes.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,26 +511,6 @@ mod tests {
         let neg = ok.replace("\"wall_us\":88", "\"wall_us\":-1");
         assert!(validate_analyze_json(&neg).unwrap_err().contains("wall_us"));
         assert!(validate_analyze_json("{}").unwrap_err().contains("missing key"));
-    }
-
-    #[test]
-    fn accepts_stats_profile_json() {
-        let mut profile = crate::stats::StatsProfile::new("fig1", 42);
-        let mut run = crate::stats::RunStats::default();
-        run.nodes.insert(
-            "Enrich".into(),
-            crate::stats::NodeStats {
-                calls: 1,
-                rows_in: 5,
-                rows_out: 5,
-                evidence: 15,
-                hits: 5,
-                wall_ns: 1000,
-            },
-        );
-        profile.observe(&run);
-        assert_eq!(validate_stats_profile_json(&profile.to_json()).unwrap(), 1);
-        assert!(validate_stats_profile_json("{}").is_err());
     }
 
     #[test]

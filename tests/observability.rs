@@ -1,21 +1,13 @@
-//! Continuous-observability integration: the run ring's trace export, the
-//! drift monitor and the path that republishes drift crossings into run
-//! records, exercised through the engine on the Figure 7 workload (§6.3).
+//! Observability integration: the run ring's trace export, exercised
+//! through the engine on the Figure 7 workload (§6.3).
 //!
-//! Two properties from the PR's acceptance list live here:
-//!
-//! * an injected shift in the QA classification mix (two windows with
-//!   different class distributions) must surface as a threshold-crossing
-//!   event in the engine's ledger;
-//! * the JSON-lines export of the run ring (`/traces/recent`) must agree
+//! * The JSON-lines export of the run ring (`/traces/recent`) must agree
 //!   with the in-memory records trace by trace, stay schema-valid, and
 //!   never produce torn records while enactments run in parallel.
-//!
-//! A third checks that a run id keeps resolving to its own record while
-//! parallel enactments churn the ring past its capacity.
+//! * A run id keeps resolving to its own record while parallel
+//!   enactments churn the ring past its capacity.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 use qurator::ledger::RUN_CAPACITY;
 use qurator::prelude::*;
@@ -23,11 +15,7 @@ use qurator_proteomics::{World, WorldConfig};
 use qurator_rdf::term::Term;
 use qurator_repro::ispider::{figure7_view, hits_to_dataset};
 use qurator_telemetry::span::AttrValue;
-use qurator_telemetry::{drift, json, schema, DriftConfig, RunId, TelemetryConfig};
-
-/// The drift monitor is process-global (by design — it mirrors the
-/// metrics registry), so the tests in this binary serialise on it.
-static DRIFT_LOCK: Mutex<()> = Mutex::new(());
+use qurator_telemetry::{json, schema, RunId};
 
 fn figure7_dataset(world: &World) -> DataSet {
     let peak_list = &world.peak_lists()[0];
@@ -38,63 +26,9 @@ fn figure7_dataset(world: &World) -> DataSet {
 }
 
 #[test]
-fn injected_class_shift_crosses_the_threshold_into_the_ledger() {
-    let _guard = DRIFT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let world = World::generate(&WorldConfig::paper_scale(42)).expect("testbed");
-    let engine = QualityEngine::with_proteomics_defaults().expect("engine");
-    engine.enable_observability(&TelemetryConfig {
-        drift: DriftConfig { window: 50, threshold: 0.2 },
-    });
-
-    let spec = figure7_view();
-    let dataset = figure7_dataset(&world);
-
-    // the QA operator path feeds the monitor: after a run, the view's
-    // classification assertion has a window under observation
-    engine.execute_view(&spec, &dataset).expect("first run");
-    assert!(
-        drift::global().snapshot().iter().any(|s| s.assertion == "ScoreClass"),
-        "assert_quality feeds the process-global drift monitor"
-    );
-
-    // injected shift on a dedicated assertion stream: the first window
-    // (all q:high) becomes the reference, the second (all q:low) is a
-    // disjoint mix -> L1 = 1.0, far beyond the 0.2 threshold
-    drift::global().observe_bulk("ObsTestAssertion", &[("q:high", 50u64)]);
-    drift::global().observe_bulk("ObsTestAssertion", &[("q:low", 50u64)]);
-
-    // crossings land in the record of the next run to finish (the engine
-    // polls its drift cursor once per run)
-    let second = qurator_telemetry::RunId::mint();
-    engine.execute_view_run(&spec, &dataset, second).expect("second run");
-    let events = engine.ledger().record(second).expect("second run in the ring").events;
-    assert!(!events.is_empty(), "the crossing is the run's");
-    let event = events
-        .iter()
-        .find(|e| {
-            e.kind.as_ref() == "qa.drift.threshold" && e.subject.as_ref() == "ObsTestAssertion"
-        })
-        .unwrap_or_else(|| panic!("no drift event in ledger, got {events:?}"));
-    assert!(
-        event.detail.contains("L1=1.000"),
-        "disjoint mixes are maximally distant: {}",
-        event.detail
-    );
-
-    // the comparison also left its gauge in the metrics exposition
-    let exposition = qurator_telemetry::metrics().render_prometheus();
-    assert!(
-        exposition.contains("qa.drift.distance{assertion=\"ObsTestAssertion\"} 1000"),
-        "{exposition}"
-    );
-}
-
-#[test]
 fn ring_export_agrees_with_memory_under_parallel_enactment() {
-    let _guard = DRIFT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let world = World::generate(&WorldConfig::paper_scale(7)).expect("testbed");
     let engine = QualityEngine::with_proteomics_defaults().expect("engine");
-    engine.enable_observability(&TelemetryConfig::default());
 
     let spec = figure7_view();
     let dataset = figure7_dataset(&world);
@@ -152,7 +86,6 @@ fn ring_export_agrees_with_memory_under_parallel_enactment() {
 
 #[test]
 fn find_run_resolves_while_writers_churn_the_rings() {
-    let _guard = DRIFT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let engine = QualityEngine::with_proteomics_defaults().expect("engine");
     let spec = QualityViewSpec::paper_example();
     let mut dataset = DataSet::new();
