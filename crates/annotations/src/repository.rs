@@ -23,41 +23,15 @@ use qurator_rdf::sparql::{self, PreparedQuery};
 use qurator_rdf::storage::{DiskBackend, MemoryBackend, Storage};
 use qurator_rdf::term::{Iri, Term};
 use qurator_rdf::triple::{Triple, TriplePattern};
-use qurator_telemetry::{Counter, Histogram};
+use qurator_telemetry::Counter;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// Maps storage-layer failures into the annotation error space.
 fn rdf_err(e: qurator_rdf::RdfError) -> AnnotationError {
     AnnotationError::Rdf(e.to_string())
-}
-
-fn lookup_count() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| qurator_telemetry::metrics().counter("enrich.lookup.count"))
-}
-
-fn lookup_latency() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| qurator_telemetry::metrics().histogram("enrich.lookup.latency_ns"))
-}
-
-fn bulk_calls() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| qurator_telemetry::metrics().counter("enrich.bulk.calls"))
-}
-
-fn bulk_rows() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| qurator_telemetry::metrics().counter("enrich.bulk.rows"))
-}
-
-fn bulk_latency() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| qurator_telemetry::metrics().histogram("enrich.bulk.latency_ns"))
 }
 
 fn bulk_sparse() -> &'static Arc<Counter> {
@@ -68,11 +42,6 @@ fn bulk_sparse() -> &'static Arc<Counter> {
 fn bulk_dense() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| qurator_telemetry::metrics().counter("enrich.bulk.dense"))
-}
-
-fn annotate_count() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| qurator_telemetry::metrics().counter("annotations.write.count"))
 }
 
 /// How a repository answers `(data item, evidence type)` lookups — §5 uses
@@ -293,7 +262,6 @@ impl AnnotationRepository {
             .insert(Triple::new(node.clone(), a, Term::Iri(evidence_type.clone())))
             .map_err(rdf_err)?;
         store.insert(Triple::new(node, value_prop, value_term)).map_err(rdf_err)?;
-        annotate_count().inc();
         Ok(())
     }
 
@@ -313,15 +281,11 @@ impl AnnotationRepository {
 
     /// The `(item, evidence type)` lookup of §5.
     pub fn lookup(&self, item: &Term, evidence_type: &Iri) -> Result<EvidenceValue> {
-        let started = Instant::now();
-        let result = match self.lookup_mode {
+        match self.lookup_mode {
             LookupMode::Sparql => self.lookup_sparql(item, evidence_type),
             LookupMode::Prepared => self.lookup_prepared(item, evidence_type),
             LookupMode::Direct => Ok(self.lookup_direct(item, evidence_type)),
-        };
-        lookup_count().inc();
-        lookup_latency().record(started.elapsed().as_nanos() as u64);
-        result
+        }
     }
 
     /// SPARQL-based lookup — renders and parses the query text of §5 per
@@ -439,12 +403,8 @@ impl AnnotationRepository {
     /// and null values are left unrecorded. (Non-IRI items are resolved
     /// like [`LookupMode::Direct`]; the SPARQL modes read them as null.)
     pub fn enrich_bulk(&self, items: &[Term], evidence_types: &[Iri]) -> Result<AnnotationMap> {
-        let started = Instant::now();
-        bulk_calls().inc();
-        bulk_rows().add(items.len() as u64);
         let mut map = AnnotationMap::for_items(items.iter().cloned());
         if items.is_empty() || evidence_types.is_empty() {
-            bulk_latency().record(started.elapsed().as_nanos() as u64);
             return Ok(map);
         }
 
@@ -472,7 +432,7 @@ impl AnnotationRepository {
             HashMap::with_capacity(item_set.len() * wanted.len());
         // Adaptive access path. The Figure-2 encoding spends ~3 triples per
         // evidence node, so `len() / 3` estimates the contains-evidence edge
-        // count. A sparse request (e.g. one chunk of a parallel fan-out)
+        // count. A sparse request (a few items against a large store)
         // walks only its items' SPO ranges; a request covering most of the
         // store is answered by three linear POS scans (edges, values, types)
         // joined on ids, with no per-node range seeks. Per `(item, type)`
@@ -556,7 +516,6 @@ impl AnnotationRepository {
                 }
             }
         }
-        bulk_latency().record(started.elapsed().as_nanos() as u64);
         Ok(map)
     }
 

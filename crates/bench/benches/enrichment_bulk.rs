@@ -10,8 +10,8 @@
 //! * `per_pair_direct`   — index walk per pair, no query machinery
 //! * `bulk`              — one read lock + one contains-evidence index
 //!   scan hash-joined against the item set (`enrich_bulk`)
-//! * `parallel_bulk`     — `DataEnrichmentProcessor`'s chunked scoped-thread
-//!   fan-out over the same bulk path
+//! * `processor_bulk`    — `DataEnrichmentProcessor` routing a
+//!   single-repository plan to the same bulk path
 //!
 //! All five produce identical `AnnotationMap`s (asserted in
 //! `qurator-annotations` property tests); only the cost differs. Per-pair
@@ -109,16 +109,16 @@ fn bench_enrichment(c: &mut Criterion) {
             b.iter(|| black_box(repo.enrich_bulk(&items, &types).expect("bulk")))
         });
         let processor = DataEnrichmentProcessor::new("de", vec![(repo.clone(), types.to_vec())]);
-        group.bench_with_input(BenchmarkId::new("parallel_bulk", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("processor_bulk", n), &n, |b, _| {
             b.iter(|| black_box(processor.enrich(&items).expect("enrich")))
         });
     }
     group.finish();
 }
 
-/// The plan shape the parallel fan-out exists for: each evidence type lives
-/// in its *own* repository (§5's federated e-Science scenario), so the
-/// three bulk scans are independent and can run on separate threads.
+/// A multi-repository plan: each evidence type lives in its *own*
+/// repository (§5's federated e-Science scenario), so the processor runs
+/// three bulk scans in plan order and merges them.
 fn bench_multi_repo(c: &mut Criterion) {
     let iq = Arc::new(IqModel::with_proteomics_extension().expect("iq"));
     let types = evidence_types();
@@ -138,11 +138,7 @@ fn bench_multi_repo(c: &mut Criterion) {
             .collect();
         group.throughput(Throughput::Elements((n * types.len()) as u64));
 
-        let parallel = DataEnrichmentProcessor::new("de", plan.clone());
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
-            b.iter(|| black_box(parallel.enrich(&items).expect("enrich")))
-        });
-        let sequential = DataEnrichmentProcessor::new("de", plan).with_parallel(false);
+        let sequential = DataEnrichmentProcessor::new("de", plan);
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
             b.iter(|| black_box(sequential.enrich(&items).expect("enrich")))
         });

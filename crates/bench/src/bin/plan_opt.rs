@@ -21,7 +21,7 @@
 //! property test checks this exhaustively, this bench re-asserts it on
 //! real data). Reports each view's medians, speedup and the number of
 //! annotators `dead-node-elim` removed, plus planning-only latency and
-//! the per-pass `plan.pass.duration_us` breakdown. Writes
+//! the per-pass `PassReport::duration_us` breakdown. Writes
 //! `BENCH_plan_opt.json`.
 //!
 //! ```sh

@@ -30,13 +30,13 @@
 //!             [--repo NAME]                      on-disk annotation store without
 //!                                                materializing the graph in RAM
 //! qv serve    <view.xml>... --addr HOST:PORT     long-lived engine over HTTP:
-//!             [--store <dir>]                    GET /healthz /metrics /slo
+//!             [--store <dir>]                    GET /healthz /metrics
 //!             [--workers N] [--queue N]          GET /traces/recent /log/recent
 //!             [--keep-alive-max N]               GET /runs/<id> (one run's record:
 //!             [--read-timeout-ms N]              trace, decisions, stats; the
 //!             [--access-log FILE]                last 256 runs)
-//!             [--slo-p99-ms N]                   GET /store (storage inventory)
-//!             [--slo-availability F]             POST /run/<view> with a TSV body
+//!                                                GET /store (storage inventory)
+//!                                                POST /run/<view> with a TSV body
 //!                                                (worker pool + bounded queue;
 //!                                                full queue -> 503 + Retry-After;
 //!                                                every run echoes X-QV-Run-Id;
@@ -109,7 +109,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  qv validate <view.xml>\n  qv check <view.xml|query.rq> [--format text|json] [--deny warnings] [--fix [--dry-run]]\n  qv compile <view.xml> [--dot]\n  qv plan <view.xml> [--no-opt] [--format text|json]\n  qv plan-check <plan.json>\n  qv fmt <view.xml>\n  qv run <view.xml> --data <hits.tsv> [--group NAME] [--explain] [--analyze [--format text|json]] [--store DIR] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]\n  qv load <triples.ttl> --store <dir> [--repo NAME]\n  qv explain <view.xml> --data <hits.tsv> --item <id-or-suffix> [--spans]\n  qv profile <view.xml> --data <hits.tsv> [--runs N] [--folded out.txt]\n  qv serve <view.xml>... --addr HOST:PORT [--store DIR] [--workers N] [--queue N] [--keep-alive-max N] [--read-timeout-ms N] [--access-log FILE] [--slo-p99-ms N] [--slo-availability F]\n  qv telemetry-check <trace.jsonl> [metrics.txt] [--access-log access.jsonl] [--analyze analyze.json]\n  qv bench-check <BENCH_*.json|dir|--all>\n  qv library <catalog.xml> [--search TEXT]"
+    "usage:\n  qv validate <view.xml>\n  qv check <view.xml|query.rq> [--format text|json] [--deny warnings] [--fix [--dry-run]]\n  qv compile <view.xml> [--dot]\n  qv plan <view.xml> [--no-opt] [--format text|json]\n  qv plan-check <plan.json>\n  qv fmt <view.xml>\n  qv run <view.xml> --data <hits.tsv> [--group NAME] [--explain] [--analyze [--format text|json]] [--store DIR] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]\n  qv load <triples.ttl> --store <dir> [--repo NAME]\n  qv explain <view.xml> --data <hits.tsv> --item <id-or-suffix> [--spans]\n  qv profile <view.xml> --data <hits.tsv> [--runs N] [--folded out.txt]\n  qv serve <view.xml>... --addr HOST:PORT [--store DIR] [--workers N] [--queue N] [--keep-alive-max N] [--read-timeout-ms N] [--access-log FILE]\n  qv telemetry-check <trace.jsonl> [metrics.txt] [--access-log access.jsonl] [--analyze analyze.json]\n  qv bench-check <BENCH_*.json|dir|--all>\n  qv library <catalog.xml> [--search TEXT]"
         .to_string()
 }
 
@@ -575,8 +575,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--keep-alive-max",
             "--read-timeout-ms",
             "--access-log",
-            "--slo-p99-ms",
-            "--slo-availability",
         ],
     )?;
     let mut pool = serve::ServeConfig::default();
@@ -633,26 +631,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
             "--access-log" => {
                 options.access_log_path = Some(flag_arg("--access-log")?.into());
-                i += 2;
-            }
-            "--slo-p99-ms" => {
-                let v = flag_arg("--slo-p99-ms")?;
-                let ms: u64 =
-                    v.parse().map_err(|_| format!("--slo-p99-ms {v:?} is not a number"))?;
-                if ms == 0 {
-                    return Err("--slo-p99-ms must be at least 1".into());
-                }
-                options.slo.p99_target_us = ms.saturating_mul(1000);
-                i += 2;
-            }
-            "--slo-availability" => {
-                let v = flag_arg("--slo-availability")?;
-                let objective: f64 =
-                    v.parse().map_err(|_| format!("--slo-availability {v:?} is not a number"))?;
-                if !(0.0..1.0).contains(&objective) {
-                    return Err("--slo-availability must be in [0, 1)".into());
-                }
-                options.slo.availability = objective;
                 i += 2;
             }
             path => {

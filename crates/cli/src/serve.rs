@@ -17,7 +17,6 @@
 //! | GET    | `/traces/recent` | JSON-lines of the newest runs' traces    |
 //! | GET    | `/runs/<id>`     | correlation bundle for one run id        |
 //! | GET    | `/log/recent`    | JSON-lines from the access-log ring      |
-//! | GET    | `/slo`           | per-route error-budget status, JSON      |
 //! | GET    | `/store`         | storage inventory + journal/compaction   |
 //! | GET    | `/stats/<view>`  | merged stats of the view's runs in ring  |
 //! | POST   | `/run/<view>`    | TSV submission in, group summary out     |
@@ -81,7 +80,7 @@ use qurator::ledger::RUN_CAPACITY;
 use qurator::prelude::*;
 use qurator::spec::ActionKind;
 use qurator_telemetry::json::escape;
-use qurator_telemetry::{AccessLog, AccessRecord, RunId, SloConfig, SloTracker};
+use qurator_telemetry::{AccessLog, AccessRecord, RunId};
 
 use crate::tsv;
 
@@ -125,14 +124,11 @@ pub struct ServeOptions {
     pub access_log_path: Option<PathBuf>,
     /// Records the in-memory access-log ring retains.
     pub access_log_capacity: usize,
-    /// Latency / availability objectives for `GET /slo` and the
-    /// `slo.*` gauges.
-    pub slo: SloConfig,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions { access_log_path: None, access_log_capacity: 1024, slo: SloConfig::default() }
+        ServeOptions { access_log_path: None, access_log_capacity: 1024 }
     }
 }
 
@@ -141,12 +137,11 @@ impl Default for ServeOptions {
 /// grow without bound as submissions stream in.
 const SERVE_LEDGER_CAPACITY: usize = 8192;
 
-/// Everything a request handler needs: the engine, the access log, the
-/// SLO tracker and the views published at startup.
+/// Everything a request handler needs: the engine, the access log and
+/// the views published at startup.
 pub struct ServeState {
     engine: QualityEngine,
     access_log: Arc<AccessLog>,
-    slo: SloTracker,
     views: BTreeMap<String, QualityViewSpec>,
 }
 
@@ -167,9 +162,8 @@ impl ServeState {
                 .map_err(|e| format!("cannot open access log {}: {e}", path.display()))?,
             None => AccessLog::new(options.access_log_capacity),
         });
-        let slo = SloTracker::new(options.slo);
         let views = views.into_iter().map(|v| (v.name.clone(), v)).collect();
-        Ok(ServeState { engine, access_log, slo, views })
+        Ok(ServeState { engine, access_log, views })
     }
 
     /// Names of the published views, sorted.
@@ -178,8 +172,7 @@ impl ServeState {
     }
 }
 
-/// Milliseconds since the Unix epoch, for access-log timestamps and SLO
-/// window arithmetic.
+/// Milliseconds since the Unix epoch, for access-log timestamps.
 fn now_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or_default().as_millis() as u64
 }
@@ -259,7 +252,6 @@ pub fn route_label(path: &str) -> &'static str {
         "/metrics" => "/metrics",
         "/traces/recent" => "/traces/recent",
         "/log/recent" => "/log/recent",
-        "/slo" => "/slo",
         "/store" => "/store",
         _ if path.starts_with("/run/") => "/run",
         _ if path.starts_with("/runs/") => "/runs",
@@ -268,27 +260,21 @@ pub fn route_label(path: &str) -> &'static str {
     }
 }
 
-/// Dispatches one request. Also records the `serve.requests{route,status}`
-/// counter and the `serve.request.latency{route}` histogram (microseconds)
-/// so the endpoint observes itself through the same registry it exports.
+/// Dispatches one request. Also counts it in `serve.requests{route,status}`
+/// so the endpoint observes itself through the same registry it exports;
+/// the connection layer times it.
 pub fn route(state: &ServeState, method: &str, target: &str, body: &str) -> Response {
-    let started = Instant::now();
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
     };
     let response = route_inner(state, method, path, query, body);
-    let label = route_label(path);
-    let metrics = qurator_telemetry::metrics();
-    metrics
+    qurator_telemetry::metrics()
         .counter_with(
             "serve.requests",
-            &[("route", label), ("status", &response.status.to_string())],
+            &[("route", route_label(path)), ("status", &response.status.to_string())],
         )
         .inc();
-    metrics
-        .histogram_with("serve.request.latency", &[("route", label)])
-        .record(started.elapsed().as_micros() as u64);
     response
 }
 
@@ -315,9 +301,6 @@ fn route_inner(
         ("GET", "/") => Response::json(200, index_json(state)),
         ("GET", "/healthz") => Response::text(200, "ok\n"),
         ("GET", "/metrics") => {
-            // lazy SLO tick: budgets are recomputed whenever someone
-            // scrapes, so the hot request path never pays for them
-            state.slo.tick(qurator_telemetry::metrics(), now_ms());
             Response::text(200, qurator_telemetry::metrics().render_prometheus())
         }
         ("GET", "/traces/recent") => match parse_limit(query, 32) {
@@ -340,19 +323,15 @@ fn route_inner(
                 run_id: None,
             },
         },
-        ("GET", "/slo") => {
-            Response::json(200, state.slo.to_json(qurator_telemetry::metrics(), now_ms()))
-        }
         ("GET", "/store") => Response::json(200, store_json(state)),
         ("GET", runs) if runs.starts_with("/runs/") => run_bundle(state, &runs["/runs/".len()..]),
         ("GET", stats) if stats.starts_with("/stats/") => {
             view_stats(state, &stats["/stats/".len()..])
         }
         ("POST", run) if run.starts_with("/run/") => run_view(state, &run["/run/".len()..], body),
-        (
-            _,
-            "/" | "/healthz" | "/metrics" | "/traces/recent" | "/log/recent" | "/slo" | "/store",
-        ) => Response::error(405, &format!("{method} not allowed here")),
+        (_, "/" | "/healthz" | "/metrics" | "/traces/recent" | "/log/recent" | "/store") => {
+            Response::error(405, &format!("{method} not allowed here"))
+        }
         (_, run) if run.starts_with("/run/") => Response::error(405, "use POST with a TSV body"),
         (_, runs) if runs.starts_with("/runs/") => {
             Response::error(405, &format!("{method} not allowed here"))
@@ -402,7 +381,7 @@ fn index_json(state: &ServeState) -> String {
     let views: Vec<String> =
         state.view_names().iter().map(|v| format!("\"{}\"", escape(v))).collect();
     format!(
-        "{{\"service\":\"qv serve\",\"views\":[{}],\"endpoints\":[\"GET /healthz\",\"GET /metrics\",\"GET /traces/recent\",\"GET /runs/<id>\",\"GET /log/recent\",\"GET /slo\",\"GET /store\",\"GET /stats/<view>\",\"POST /run/<view>\"]}}",
+        "{{\"service\":\"qv serve\",\"views\":[{}],\"endpoints\":[\"GET /healthz\",\"GET /metrics\",\"GET /traces/recent\",\"GET /runs/<id>\",\"GET /log/recent\",\"GET /store\",\"GET /stats/<view>\",\"POST /run/<view>\"]}}",
         views.join(",")
     )
 }
@@ -771,15 +750,22 @@ fn handle_connection(
             Ok(Some(request)) => {
                 let started = Instant::now();
                 let response = route(state, &request.method, &request.target, &request.body);
+                // one measurement feeds both the latency histogram and
+                // the access record
+                let latency_us = started.elapsed().as_micros() as u64;
                 let path = request.target.split('?').next().unwrap_or(&request.target);
+                let label = route_label(path);
+                qurator_telemetry::metrics()
+                    .histogram_with("serve.request.latency", &[("route", label)])
+                    .record(latency_us);
                 state.access_log.record(AccessRecord {
                     seq: 0,
                     ts_ms: now_ms(),
                     peer: peer.clone(),
-                    route: route_label(path).to_string(),
+                    route: label.to_string(),
                     status: response.status,
                     bytes: response.body.len() as u64,
-                    latency_us: started.elapsed().as_micros() as u64,
+                    latency_us,
                     run_id: response.run_id,
                     shed: false,
                     timeout: false,
@@ -1409,22 +1395,6 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
     }
 
     #[test]
-    fn slo_endpoint_reports_budgets_for_served_routes() {
-        let state = state();
-        assert_eq!(route(&state, "POST", "/run/serve-test", DATA).status, 200);
-        let r = route(&state, "GET", "/slo", "");
-        assert_eq!(r.status, 200);
-        let value = json::parse(&r.body).unwrap();
-        assert!(value.get("availability").and_then(|v| v.as_f64()).unwrap() > 0.9);
-        let routes = value.get("routes").and_then(|v| v.as_array()).unwrap();
-        assert!(
-            routes.iter().any(|r| r.get("route").and_then(|v| v.as_str()) == Some("/run")),
-            "{}",
-            r.body
-        );
-    }
-
-    #[test]
     fn run_endpoint_enacts_and_the_trace_lands_in_the_ring() {
         let state = state();
         let r = route(&state, "POST", "/run/serve-test", DATA);
@@ -1543,6 +1513,9 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
             .expect("access-log line for the run");
         assert!(run_line.contains("\"route\":\"/run\""), "{run_line}");
         assert!(run_line.contains("\"status\":200"), "{run_line}");
+        // the connection layer's one measurement also fed the histogram
+        let rendered = qurator_telemetry::metrics().render_prometheus();
+        assert!(rendered.contains("serve.request.latency_count{route=\"/run\"}"), "{rendered}");
 
         shutdown.store(true, Ordering::Relaxed);
         thread.join().unwrap();

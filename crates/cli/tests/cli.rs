@@ -395,6 +395,7 @@ fn unknown_and_removed_flags_fail_loudly() {
             "--stats-profile",
         ),
         (vec!["serve", &view, "--addr", "127.0.0.1:0", "--drift-window", "50"], "--drift-window"),
+        (vec!["serve", &view, "--addr", "127.0.0.1:0", "--slo-p99-ms", "250"], "--slo-p99-ms"),
         (vec!["compile", &view, "--dott"], "compile flag \"--dott\""),
     ] {
         let (ok, _, stderr) = qv(&args);
@@ -402,6 +403,22 @@ fn unknown_and_removed_flags_fail_loudly() {
         assert!(stderr.contains(flag) && stderr.contains("usage:"), "{args:?}: {stderr}");
     }
     assert!(!std::path::Path::new(out).exists(), "a refused run wrote {out}");
+}
+
+/// Plan nodes are keyed by name: an action named like the Data
+/// Enrichment node would share one statistics record with it, so `qv run`
+/// refuses the view with QV028 instead of running it.
+#[test]
+fn run_refuses_plan_nodes_that_share_a_name() {
+    let xml = std::fs::read_to_string(repo_path("samples/paper_view.xml"))
+        .unwrap()
+        .replace("action name=\"filter top k score\"", "action name=\"DataEnrichment\"");
+    let view = write_temp("duplicate-node-name.xml", &xml);
+    let data = repo_path("samples/hits.tsv");
+    let (ok, stdout, stderr) = qv(&["run", view.to_str().unwrap(), "--data", &data, "--analyze"]);
+    assert!(!ok, "the view ran: {stdout}");
+    assert!(stderr.contains("QV028"), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
 }
 
 #[test]

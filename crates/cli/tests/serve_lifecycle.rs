@@ -161,20 +161,13 @@ fn sigterm_drains_the_in_flight_request_before_exiting() {
 /// POSTed run's `X-QV-Run-Id` resolves at `GET /runs/<id>` to a bundle
 /// whose trace spans and ledger records all carry that id, the access
 /// log (ring and `--access-log` file sink) records the request under
-/// the same id, and `GET /slo` reports budgets for the route.
+/// the same id.
 #[test]
 fn run_id_correlates_request_trace_ledger_and_access_log() {
     let log_path = std::env::temp_dir()
         .join(format!("qv-serve-lifecycle-access-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&log_path);
-    let (child, addr, _stdout) = spawn_serve(&[
-        "--access-log",
-        log_path.to_str().unwrap(),
-        "--slo-p99-ms",
-        "250",
-        "--slo-availability",
-        "0.999",
-    ]);
+    let (child, addr, _stdout) = spawn_serve(&["--access-log", log_path.to_str().unwrap()]);
     let tsv = std::fs::read_to_string(sample("hits.tsv")).expect("hits.tsv");
 
     let mut stream = TcpStream::connect(&addr).expect("connect");
@@ -225,22 +218,11 @@ fn run_id_correlates_request_trace_ledger_and_access_log() {
         .all(|t| t.get("run_id").and_then(|v| v.as_str()) == Some(run_id.as_str())));
 
     // the access-log ring recorded the run under the same id
-    stream.write_all(b"GET /log/recent HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    stream.write_all(b"GET /log/recent HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
     let (head, log) = read_response_full(&mut stream);
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert!(qurator_telemetry::schema::validate_access_log_jsonl(&log).unwrap() >= 1, "{log}");
     assert!(log.contains(&format!("\"run_id\":\"{run_id}\"")), "{log}");
-
-    // SLO budgets exist for the /run route
-    stream.write_all(b"GET /slo HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
-    let (head, slo) = read_response_full(&mut stream);
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let value = qurator_telemetry::json::parse(&slo).expect("slo parses");
-    let routes = value.get("routes").and_then(|v| v.as_array()).expect("routes");
-    assert!(
-        routes.iter().any(|r| r.get("route").and_then(|v| v.as_str()) == Some("/run")),
-        "{slo}"
-    );
     drop(stream);
 
     sigterm(&child);
@@ -254,23 +236,31 @@ fn run_id_correlates_request_trace_ledger_and_access_log() {
 }
 
 /// One HTTP exchange against the live binary; returns (status line, body).
-fn exchange(addr: &str, request: &str) -> (String, String) {
+/// One request on a fresh connection; returns (full head, body).
+fn exchange_full(addr: &str, request: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     stream.write_all(request.as_bytes()).unwrap();
-    read_response(&mut stream)
+    read_response_full(&mut stream)
+}
+
+/// One request on a fresh connection; returns (status line, body).
+fn exchange(addr: &str, request: &str) -> (String, String) {
+    let (head, body) = exchange_full(addr, request);
+    (head.lines().next().unwrap_or_default().to_string(), body)
+}
+
+fn archive_run_request() -> String {
+    let tsv = std::fs::read_to_string(sample("hits.tsv")).expect("hits.tsv");
+    format!(
+        "POST /run/archived-hit-quality HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{tsv}",
+        tsv.len()
+    )
 }
 
 fn post_archive_run(addr: &str) -> (String, String) {
-    let tsv = std::fs::read_to_string(sample("hits.tsv")).expect("hits.tsv");
-    exchange(
-        addr,
-        &format!(
-            "POST /run/archived-hit-quality HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{tsv}",
-            tsv.len()
-        ),
-    )
+    exchange(addr, &archive_run_request())
 }
 
 /// The archive repository's triple count as reported by `GET /store`.
@@ -388,9 +378,9 @@ fn serve_fails_fast_on_a_corrupt_store() {
 }
 
 /// A persistent repository that cannot be opened fails its run with a
-/// JSON 500: the store failed, not the request. `/slo` charges it to the
-/// `/run` route's availability budget. The server's only worker survives
-/// that and keeps answering.
+/// JSON 500: the store failed, not the request. The access log records
+/// the 500 under the `/run` route and the run's id. The server's only
+/// worker survives that and keeps answering.
 #[test]
 fn unopenable_repository_fails_the_run_not_the_worker() {
     let store = qurator_rdf::storage::test_support::TempDir::new("serve-unopenable");
@@ -400,27 +390,31 @@ fn unopenable_repository_fails_the_run_not_the_worker() {
         "persistent_archive.xml",
         &["--store", store.path().to_str().unwrap(), "--workers", "1"],
     );
-    let (status, body) = post_archive_run(&addr);
+    let (head, body) = exchange_full(&addr, &archive_run_request());
     let health = exchange(&addr, "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
-    let slo = exchange(&addr, "GET /slo HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+    let log = exchange(&addr, "GET /log/recent HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
     sigterm(&child);
     assert!(wait_exit(child), "expected exit 0 after SIGTERM");
 
-    assert!(status.contains("500"), "{status}: {body}");
+    assert!(head.starts_with("HTTP/1.1 500"), "{head}: {body}");
     let value = qurator_telemetry::json::parse(&body).expect("error json");
     let error = value.get("error").and_then(|v| v.as_str()).expect("error message");
     assert!(error.contains("\"archive\""), "{error}");
     assert!(health.0.contains("200"), "{health:?}");
 
-    let value = qurator_telemetry::json::parse(&slo.1).expect("slo json");
-    let routes = value.get("routes").and_then(|v| v.as_array()).expect("routes");
-    let run = routes
-        .iter()
-        .find(|r| r.get("route").and_then(|v| v.as_str()) == Some("/run"))
-        .unwrap_or_else(|| panic!("no /run route in {}", slo.1));
-    let availability = run.get("availability").expect("availability objective");
-    assert_eq!(availability.get("total").and_then(|v| v.as_u64()), Some(1), "{}", slo.1);
-    assert_eq!(availability.get("bad").and_then(|v| v.as_u64()), Some(1), "{}", slo.1);
+    let run_id = head
+        .lines()
+        .find_map(|l| l.strip_prefix("X-QV-Run-Id: "))
+        .expect("a failed run still echoes its run id")
+        .trim()
+        .to_string();
+    let line = log
+        .1
+        .lines()
+        .find(|l| l.contains(&format!("\"run_id\":\"{run_id}\"")))
+        .unwrap_or_else(|| panic!("no access-log line for run {run_id} in {}", log.1));
+    assert!(line.contains("\"route\":\"/run\""), "{line}");
+    assert!(line.contains("\"status\":500"), "{line}");
 }
 
 /// A view naming a repository no store may hold is the caller's error:

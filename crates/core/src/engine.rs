@@ -304,7 +304,8 @@ impl QualityEngine {
     /// compiled-workflow pass. Unlike [`QualityEngine::validate`] this
     /// never fails early: all findings come back as diagnostics, and an
     /// empty error set means the view would validate, compile and deploy.
-    /// Passing the parsed source `Element` anchors findings to
+    /// It writes nothing: the engine's catalog and store root are left as
+    /// they were. Passing the parsed source `Element` anchors findings to
     /// line/column positions in the original document.
     pub fn check(
         &self,
@@ -329,9 +330,12 @@ impl QualityEngine {
                 }
             }
             // a persistent repository is opened by name, so its name must
-            // be one a store may hold
+            // be one a store may hold (under a store root, on disk)
+            let on_disk = self.catalog.store_root().is_some();
             for (i, decl) in spec.annotators.iter().enumerate().filter(|(_, a)| a.persistent) {
-                let Err(e) = check_repository_name(&decl.repository_ref, false) else { continue };
+                let Err(e) = check_repository_name(&decl.repository_ref, on_disk) else {
+                    continue;
+                };
                 let attr = source
                     .and_then(|el| el.children_named("Annotator").nth(i))
                     .and_then(|el| el.child("variables"))
@@ -345,7 +349,12 @@ impl QualityEngine {
             if !qurator_qvlint::has_errors(&diags) {
                 let started = std::time::Instant::now();
                 let mark = diags.len();
-                match compile::compile(view, &self.iq, &self.registry, &self.catalog) {
+                // A throwaway catalog: compiling binds every repository
+                // the view names, and a check must not create (or lock)
+                // stores in the engine's. The graph passes below need
+                // only the wiring.
+                let scratch = RepositoryCatalog::new(self.iq.clone());
+                match compile::compile(view, &self.iq, &self.registry, &scratch) {
                     Err(e) => diags.push(
                         Diagnostic::error(
                             "WF005",
@@ -441,9 +450,6 @@ impl QualityEngine {
     ) -> Result<ActionOutcome> {
         let view = self.validate(spec)?;
         let plan = planner::physical_plan(&view, &self.iq, config)?;
-        qurator_telemetry::metrics()
-            .counter_with("engine.execute.count", &[("path", "interpreted")])
-            .inc();
         let bound = exec::bind(&plan, &self.iq, &self.registry, &self.catalog)?;
         bound.stats.set_enabled(self.stats_enabled());
         let session = TraceSession::new();
@@ -912,6 +918,27 @@ mod tests {
         // running the view is still refused, as the view's fault
         let err = engine.execute_view(&spec, &imprint_dataset()).unwrap_err();
         assert!(matches!(err, QuratorError::Execution(_)), "{err}");
+    }
+
+    #[test]
+    fn check_leaves_the_catalog_and_the_store_root_as_they_were() {
+        let root = qurator_rdf::storage::test_support::TempDir::new("check-writes-nothing");
+        let engine = QualityEngine::with_proteomics_defaults().unwrap();
+        engine.set_store_root(root.path()).unwrap();
+        let xml = include_str!("../../../samples/persistent_archive.xml");
+        let (spec, source) = crate::xmlio::parse_quality_view_with_source(xml).unwrap();
+        let diags = engine.check(&spec, Some(&source));
+        assert!(!qurator_qvlint::has_errors(&diags), "{diags:?}");
+        assert!(engine.catalog().names().is_empty(), "{:?}", engine.catalog().names());
+        let entries: Vec<_> = std::fs::read_dir(root.path()).unwrap().collect();
+        assert!(entries.is_empty(), "check wrote under the store root: {entries:?}");
+
+        // the name a store root reserves is still refused under a root,
+        // though the compile step no longer opens the store to find out
+        let stats = xml.replace("repositoryRef=\"archive\"", "repositoryRef=\"stats\"");
+        let (spec, source) = crate::xmlio::parse_quality_view_with_source(&stats).unwrap();
+        let codes: Vec<&str> = engine.check(&spec, Some(&source)).iter().map(|d| d.code).collect();
+        assert_eq!(codes, vec!["QV027"]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::operators::{
 use crate::{QuratorError, Result};
 use qurator_annotations::{AnnotationError, AnnotationRepository, RepositoryCatalog};
 use qurator_ontology::IqModel;
-use qurator_plan::{ActKind, PhysicalPlan, CONSOLIDATE_NODE, ENRICH_NODE};
+use qurator_plan::{merge_node_name, ActKind, PhysicalPlan, CONSOLIDATE_NODE, ENRICH_NODE};
 use qurator_services::{ServiceRegistry, VariableBindings};
 use qurator_telemetry::stats::StatsCollector;
 use qurator_workflow::{PortRef, Workflow};
@@ -210,7 +210,7 @@ impl BoundPlan {
                         .map_err(|e| compile_err(e.to_string()))?;
                 }
                 producers => {
-                    let merge_node = format!("consolidate-for-{}", assert.name);
+                    let merge_node = merge_node_name(&assert.name);
                     workflow
                         .add(
                             merge_node.clone(),

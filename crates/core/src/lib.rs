@@ -145,10 +145,12 @@ impl std::fmt::Display for QuratorError {
             QuratorError::Execution(m) => write!(f, "quality-view execution error: {m}"),
             QuratorError::Storage(m) => write!(f, "quality-view storage error: {m}"),
             QuratorError::Diagnostics(diags) => {
-                let errors: Vec<&str> = diags
+                // each error keeps its code, so `qv check` can be asked
+                // about it
+                let errors: Vec<String> = diags
                     .iter()
                     .filter(|d| d.severity == qurator_qvlint::Severity::Error)
-                    .map(|d| d.message.as_str())
+                    .map(|d| format!("[{}] {}", d.code, d.message))
                     .collect();
                 write!(f, "quality-view validation error: {}", errors.join("; "))
             }

@@ -15,6 +15,7 @@ use crate::spec::*;
 use crate::validate::{BindingTarget, ValidatedView};
 use qurator_expr::{check, BinaryOp, Expr, ExprType, TypeEnv, Value};
 use qurator_ontology::IqModel;
+use qurator_plan::{merge_node_name, CONSOLIDATE_NODE, ENRICH_NODE};
 use qurator_qvlint::{intervals, Diagnostic, Span};
 use qurator_rdf::term::Iri;
 use qurator_services::ServiceRegistry;
@@ -286,6 +287,59 @@ fn xml_escape_text(s: &str) -> String {
     out
 }
 
+/// QV028: every plan node is keyed by its name (its statistics record,
+/// its span and its workflow processor), so annotator and assertion
+/// `serviceName`s, action names and the names the compiler reserves must
+/// be pairwise distinct. Each clash is anchored at the later name; two
+/// actions sharing a name are QV014's.
+fn duplicate_node_names(spec: &QualityViewSpec, spans: &Spans, d: &mut Vec<Diagnostic>) {
+    let mut reserved: BTreeMap<String, String> = BTreeMap::from([
+        (ENRICH_NODE.to_string(), "the Data Enrichment node".to_string()),
+        (CONSOLIDATE_NODE.to_string(), "the consolidation node".to_string()),
+    ]);
+    for qa in &spec.assertions {
+        reserved.insert(
+            merge_node_name(&qa.service_name),
+            format!("the merge node of assertion {:?}", qa.service_name),
+        );
+    }
+    let declared = spec
+        .annotators
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            ("annotator", a.service_name.as_str(), spans.annotator_attr(i, "serviceName"))
+        })
+        .chain(spec.assertions.iter().enumerate().map(|(i, qa)| {
+            ("assertion", qa.service_name.as_str(), spans.assertion_attr(i, "serviceName"))
+        }))
+        .chain(
+            spec.actions
+                .iter()
+                .enumerate()
+                .map(|(i, a)| ("action", a.name.as_str(), spans.action_attr(i, "name"))),
+        );
+    let mut seen: Vec<(&str, &str)> = Vec::new();
+    for (kind, name, span) in declared {
+        let clash = if let Some(what) = reserved.get(name) {
+            Some(format!("{kind} {name:?} takes the name the compiler gives {what}"))
+        } else if kind == "action" && seen.contains(&("action", name)) {
+            None // QV014's
+        } else {
+            seen.iter()
+                .find(|(_, n)| *n == name)
+                .map(|(earlier, _)| format!("{kind} {name:?} has the name of an earlier {earlier}"))
+        };
+        seen.push((kind, name));
+        if let Some(message) = clash {
+            d.push(Diagnostic::error("QV028", message).at(span).help(
+                "give each annotator, assertion and action its own name: a run keeps one \
+                 record per plan node, under its name",
+            ));
+        }
+    }
+}
+
 /// Runs every view-level pass over the spec and collects all findings.
 pub fn analyze(
     spec: &QualityViewSpec,
@@ -337,6 +391,7 @@ pub fn analyze(
             }
         }
     }
+    duplicate_node_names(spec, &spans, &mut d);
     qurator_qvlint::record_pass_telemetry("view", started.elapsed(), &d[mark..]);
 
     // ---- pass: annotators ---------------------------------------------

@@ -23,24 +23,13 @@ use qurator_services::{
     AnnotationService, AssertionService, DataSet, ServiceError, VariableBindings,
 };
 use qurator_telemetry::stats::{NodeStats, StatsCollector};
-use qurator_telemetry::{Counter, Histogram};
 use qurator_workflow::{Context, Data, Processor, WorkflowError};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 type Inputs = BTreeMap<String, Data>;
 type Outputs = BTreeMap<String, Data>;
-
-fn enrich_op_items() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| qurator_telemetry::metrics().counter("enrich.op.items"))
-}
-
-fn enrich_op_latency() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| qurator_telemetry::metrics().histogram("enrich.op.latency_ns"))
-}
 
 fn exec_err(processor: &str, message: impl Into<String>) -> WorkflowError {
     WorkflowError::Execution { processor: processor.to_string(), message: message.into() }
@@ -136,15 +125,8 @@ pub struct DataEnrichmentProcessor {
     /// each repository with the evidence types read from it, answered by
     /// one bulk lookup per group.
     groups: Vec<(Arc<AnnotationRepository>, Vec<Iri>)>,
-    /// Fan enrichment out over scoped threads (repository groups × item
-    /// chunks). On by default; disable for the E5 sequential ablation.
-    parallel: bool,
     stats: Option<Arc<StatsCollector>>,
 }
-
-/// Floor on items per parallel enrichment chunk: below this a chunk is not
-/// worth a thread, so small batches run on the calling thread.
-const PARALLEL_CHUNK_MIN: usize = 4096;
 
 impl DataEnrichmentProcessor {
     /// Builds the operator from its repository groups, run as given and
@@ -153,13 +135,7 @@ impl DataEnrichmentProcessor {
         name: impl Into<String>,
         groups: Vec<(Arc<AnnotationRepository>, Vec<Iri>)>,
     ) -> Self {
-        DataEnrichmentProcessor { name: name.into(), groups, parallel: true, stats: None }
-    }
-
-    /// Switches parallel fan-out on or off.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
+        DataEnrichmentProcessor { name: name.into(), groups, stats: None }
     }
 
     /// Attaches the shared observed-statistics sink.
@@ -181,16 +157,13 @@ impl DataEnrichmentProcessor {
     ///
     /// Each repository group is answered by one bulk lookup
     /// ([`AnnotationRepository::enrich_bulk`]: one read lock, one index
-    /// scan) instead of a SPARQL query per `(item, type)` pair. With
-    /// `parallel` on, repository groups and large item chunks run on scoped
-    /// threads; results merge in deterministic plan order, so parallel and
-    /// sequential runs produce identical maps.
+    /// scan) instead of a SPARQL query per `(item, type)` pair. Groups run
+    /// in plan order and merge in that order (later groups win conflicting
+    /// entries).
     pub fn enrich(&self, items: &[Term]) -> Result<AnnotationMap> {
         let started = Instant::now();
-        enrich_op_items().add(items.len() as u64);
         let map = self.enrich_inner(items)?;
         let wall_ns = started.elapsed().as_nanos() as u64;
-        enrich_op_latency().record(wall_ns);
         if let Some(stats) = &self.stats {
             if stats.enabled() {
                 // Observed evidence cardinality and per-item hit rate: one
@@ -222,57 +195,20 @@ impl DataEnrichmentProcessor {
     }
 
     fn enrich_inner(&self, items: &[Term]) -> Result<AnnotationMap> {
-        let groups = &self.groups;
-        let bulk = |repository: &AnnotationRepository, chunk: &[Term], types: &[Iri]| {
-            repository.enrich_bulk(chunk, types).map_err(|e| QuratorError::Storage(e.to_string()))
+        let bulk = |repository: &AnnotationRepository, types: &[Iri]| {
+            repository.enrich_bulk(items, types).map_err(|e| QuratorError::Storage(e.to_string()))
         };
 
         // A single-repository plan (the common §6.1 outcome) is exactly one
         // bulk call: the returned map is already seeded with the item set,
-        // so there is nothing to fan out or merge.
-        if let [(repository, types)] = groups.as_slice() {
-            return bulk(repository, items, types);
+        // so there is nothing to merge.
+        if let [(repository, types)] = self.groups.as_slice() {
+            return bulk(repository, types);
         }
 
         let mut combined = AnnotationMap::for_items(items.iter().cloned());
-        let partials: Vec<Result<AnnotationMap>> = if self.parallel && groups.len() > 1 {
-            // Multi-repository fan-out: every (repository group × item
-            // chunk) pair becomes a scoped-thread job, so independent
-            // stores are scanned concurrently.
-            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let chunk_size = items.len().div_ceil(workers.max(1)).max(PARALLEL_CHUNK_MIN);
-            let jobs: Vec<(&Arc<AnnotationRepository>, &[Iri], &[Term])> = groups
-                .iter()
-                .flat_map(|(repository, types)| {
-                    items
-                        .chunks(chunk_size.max(1))
-                        .map(move |chunk| (repository, types.as_slice(), chunk))
-                })
-                .collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .iter()
-                    .map(|(repository, types, chunk)| {
-                        scope.spawn(move || bulk(repository, chunk, types))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| {
-                        handle.join().unwrap_or_else(|_| {
-                            Err(QuratorError::Execution("enrichment worker panicked".to_string()))
-                        })
-                    })
-                    .collect()
-            })
-        } else {
-            groups.iter().map(|(repository, types)| bulk(repository, items, types)).collect()
-        };
-
-        // Merge in job order (= group order, then item order), keeping the
-        // result byte-identical to a sequential per-pair enrichment.
-        for partial in partials {
-            combined.merge(&partial?);
+        for (repository, types) in &self.groups {
+            combined.merge(&bulk(repository, types)?);
         }
         Ok(combined)
     }
@@ -331,37 +267,23 @@ impl AssertionProcessor {
     }
 
     /// Runs the assertion directly (shared by the executor and the
-    /// workflow processor, so classification counting covers both).
+    /// workflow processor, so the node's statistics cover both).
     pub fn assert_quality(&self, map: &mut AnnotationMap) -> Result<()> {
         let started = Instant::now();
         self.service
             .assert_quality(map, &self.bindings, &self.tag)
             .map_err(|e| QuratorError::Execution(e.to_string()))?;
-        // Count what this pass assigned: per class label for
-        // classifications, per tag for everything (numeric scores would
-        // explode label cardinality if counted per value). Aggregated
-        // locally first — one registry touch per label, not per item.
-        let mut tagged = 0u64;
-        let mut per_class: BTreeMap<String, u64> = BTreeMap::new();
-        for item in map.items() {
-            let row = map.item(item).expect("listed");
-            match row.tag(&self.tag) {
-                EvidenceValue::Null => {}
-                EvidenceValue::Class(class) => {
-                    tagged += 1;
-                    *per_class.entry(class.local_name().to_string()).or_default() += 1;
-                }
-                _ => tagged += 1,
-            }
-        }
-        let metrics = qurator_telemetry::metrics();
-        if tagged > 0 {
-            metrics.counter_with("qa.assert.count", &[("tag", &self.tag)]).add(tagged);
-        }
-        for (label, count) in &per_class {
-            metrics.counter_with("qa.classify.count", &[("class", label)]).add(*count);
-        }
-        if let Some(stats) = &self.stats {
+        if let Some(stats) = self.stats.as_ref().filter(|stats| stats.enabled()) {
+            // the items this pass tagged are the node's hits
+            let tagged = map
+                .items()
+                .iter()
+                .filter(|item| {
+                    map.item(item)
+                        .and_then(|row| row.tag_ref(&self.tag))
+                        .is_some_and(|value| !value.is_null())
+                })
+                .count() as u64;
             stats.record(
                 &self.name,
                 NodeStats {
@@ -755,12 +677,9 @@ mod tests {
             (repo_a, vec![q::iri("HitRatio"), q::iri("MassCoverage")]),
             (repo_b, vec![q::iri("MassCoverage"), q::iri("HitRatio")]),
         ];
-        let parallel = DataEnrichmentProcessor::new("de", groups.clone()).enrich(&items).unwrap();
-        let sequential =
-            DataEnrichmentProcessor::new("de", groups).with_parallel(false).enrich(&items).unwrap();
+        let grouped = DataEnrichmentProcessor::new("de", groups).enrich(&items).unwrap();
 
-        assert_eq!(parallel, per_entry);
-        assert_eq!(sequential, per_entry);
+        assert_eq!(grouped, per_entry);
         // The later plan entry's HitRatio (repo_b) must have won for item 1.
         assert_eq!(
             per_entry.item(&item(1)).unwrap().evidence(&q::iri("HitRatio")),

@@ -29,8 +29,8 @@ pub mod render;
 pub mod schema;
 
 pub use logical::{
-    ActKind, ActNode, AnnotateNode, AssertNode, Binding, EnrichNode, LogicalNode, LogicalPlan,
-    TagKind, CONSOLIDATE_NODE, ENRICH_NODE,
+    merge_node_name, ActKind, ActNode, AnnotateNode, AssertNode, Binding, EnrichNode, LogicalNode,
+    LogicalPlan, TagKind, CONSOLIDATE_NODE, ENRICH_NODE,
 };
 pub use passes::lower;
 pub use physical::{EnrichGroup, PassReport, PhysicalAssert, PhysicalPlan, PlanConfig};

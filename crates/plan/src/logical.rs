@@ -23,6 +23,12 @@ pub const ENRICH_NODE: &str = "DataEnrichment";
 /// Node name of the final consolidation task.
 pub const CONSOLIDATE_NODE: &str = "ConsolidateAssertions";
 
+/// Node name of the task that merges the maps of an assertion reading
+/// tags from more than one producer.
+pub fn merge_node_name(assertion: &str) -> String {
+    format!("consolidate-for-{assertion}")
+}
+
 /// Whether an assertion emits a numeric score or a classification label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagKind {

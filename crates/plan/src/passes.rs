@@ -20,9 +20,9 @@
 //! annotations are volatile — dead *assertions* stay, because their tags
 //! are visible in the output group maps.
 //!
-//! Pass timings are recorded both on the plan (the [`PassReport`] list)
-//! and in the global metrics registry (`plan.pass.duration_us`
-//! histogram, `plan.pass.runs{pass}` counters).
+//! Each pass leaves one record of its run on the plan, a [`PassReport`]
+//! with its duration, which `qv plan --format json` renders and
+//! `plan_opt` reads.
 
 use crate::logical::{Binding, LogicalPlan, CONSOLIDATE_NODE, ENRICH_NODE};
 use crate::physical::{EnrichGroup, PassReport, PhysicalAssert, PhysicalPlan, PlanConfig};
@@ -103,7 +103,7 @@ fn resolve_dependencies(logical: &LogicalPlan) -> Result<Vec<PhysicalAssert>> {
     Ok(out)
 }
 
-/// Runs one pass, timing it and recording its report + metrics.
+/// Runs one pass, timing it and recording its report.
 fn run_pass(
     plan: &mut PhysicalPlan,
     name: &'static str,
@@ -111,13 +111,9 @@ fn run_pass(
 ) {
     let started = Instant::now();
     let outcome = pass(plan);
-    let duration_us = started.elapsed().as_micros() as u64;
-    let metrics = qurator_telemetry::metrics();
-    metrics.histogram("plan.pass.duration_us").record(duration_us);
-    metrics.counter_with("plan.pass.runs", &[("pass", name)]).inc();
     plan.passes.push(PassReport {
         pass: name,
-        duration_us,
+        duration_us: started.elapsed().as_micros() as u64,
         changed: outcome.changed,
         notes: outcome.notes,
     });

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 
 /// Renders the EXPLAIN text for a physical plan. Byte-deterministic for
 /// a given plan: pass durations are deliberately omitted (the JSON
-/// rendering and the `plan.pass.duration_us` metric carry them).
+/// rendering carries them).
 pub fn render_text(plan: &PhysicalPlan) -> String {
     let mut out = String::new();
     let mode = if plan.optimized { "optimized" } else { "unoptimized" };

@@ -304,6 +304,7 @@ pub mod codes {
             "branch shadowed: condition subsumed by a sibling under the classification domain",
         ),
         ("QV027", "persistent repository name cannot name a store directory"),
+        ("QV028", "two plan nodes share a name"),
         ("WF001", "compiled workflow contains a dependency cycle"),
         ("WF002", "workflow node is unreachable from any workflow input"),
         ("WF003", "repository is written but never read within the view"),

@@ -12,39 +12,8 @@ use crate::{Diagnostic, Span};
 use qurator_workflow::Workflow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Repository access facts the caller extracts from the view (the
-/// workflow graph itself does not know which processors touch which
-/// repository). `writes`/`reads` pair a node name with a repository name.
-#[derive(Debug, Clone, Default)]
-pub struct RepoUsage {
-    pub writes: Vec<(String, String)>,
-    pub reads: Vec<(String, String)>,
-}
-
 /// Waves at least this wide earn a WF004 parallelism hint.
 pub const WIDE_WAVE: usize = 8;
-
-/// Runs the full workflow pass: the graph-shape checks of
-/// [`analyze_graph`] plus the repository-usage (WF003) and wave-width
-/// (WF004) observations derived from `repos` and the workflow's own wave
-/// schedule. `qv check` runs WF003/WF004 on the plan IR instead (see
-/// [`crate::plan::analyze_plan`]); this all-in-one entry point serves
-/// callers that only have a compiled workflow in hand.
-pub fn analyze_workflow(
-    workflow: &Workflow,
-    repos: &RepoUsage,
-    spec_span: Option<Span>,
-) -> Vec<Diagnostic> {
-    let mut diags = analyze_graph(workflow, spec_span);
-    if diags.iter().any(|d| d.code == "WF001") {
-        return diags;
-    }
-    diags.extend(write_only_repositories(&repos.writes, &repos.reads, spec_span));
-    if let Ok(waves) = workflow.waves() {
-        diags.extend(wave_width_hint(&waves, spec_span));
-    }
-    diags
-}
 
 /// The pure graph-shape checks (WF001 cycles, WF002 unreachable nodes) —
 /// the properties only the wired workflow can answer.
@@ -177,7 +146,7 @@ mod tests {
         w.add("b", node()).unwrap();
         w.link("a", "out", "b", "in").unwrap();
         w.link("b", "out", "a", "in").unwrap();
-        let diags = analyze_workflow(&w, &RepoUsage::default(), None);
+        let diags = analyze_graph(&w, None);
         assert_eq!(codes(&diags), vec!["WF001"]);
     }
 
@@ -189,21 +158,16 @@ mod tests {
         w.add("orphan", node()).unwrap();
         w.link("fed", "out", "downstream", "in").unwrap();
         w.declare_input("x", PortRef::new("fed", "in")).unwrap();
-        let diags = analyze_workflow(&w, &RepoUsage::default(), None);
+        let diags = analyze_graph(&w, None);
         assert_eq!(codes(&diags), vec!["WF002"]);
         assert!(diags[0].message.contains("orphan"));
     }
 
     #[test]
     fn detects_write_only_repositories() {
-        let mut w = Workflow::new("t");
-        w.add("a", node()).unwrap();
-        w.declare_input("x", PortRef::new("a", "in")).unwrap();
-        let repos = RepoUsage {
-            writes: vec![("a".into(), "scratch".into()), ("a".into(), "cache".into())],
-            reads: vec![("de".into(), "cache".into())],
-        };
-        let diags = analyze_workflow(&w, &repos, None);
+        let writes = vec![("a".into(), "scratch".into()), ("a".into(), "cache".into())];
+        let reads = vec![("de".into(), "cache".into())];
+        let diags = write_only_repositories(&writes, &reads, None);
         assert_eq!(codes(&diags), vec!["WF003"]);
         assert!(diags[0].message.contains("scratch"));
     }
@@ -218,9 +182,9 @@ mod tests {
             w.add(name.clone(), node()).unwrap();
             w.link("src", "out", &name, "in").unwrap();
         }
-        let diags = analyze_workflow(&w, &RepoUsage::default(), None);
-        assert_eq!(codes(&diags), vec!["WF004"]);
-        assert!(diags[0].message.contains(&WIDE_WAVE.to_string()));
+        let hint = wave_width_hint(&w.waves().unwrap(), None).expect("a wide wave");
+        assert_eq!(hint.code, "WF004");
+        assert!(hint.message.contains(&WIDE_WAVE.to_string()));
     }
 
     #[test]
@@ -230,6 +194,8 @@ mod tests {
         w.add("b", node()).unwrap();
         w.link("a", "out", "b", "in").unwrap();
         w.declare_input("x", PortRef::new("a", "in")).unwrap();
-        assert!(analyze_workflow(&w, &RepoUsage::default(), None).is_empty());
+        assert!(analyze_graph(&w, None).is_empty());
+        assert!(write_only_repositories(&[], &[], None).is_empty());
+        assert!(wave_width_hint(&w.waves().unwrap(), None).is_none());
     }
 }

@@ -222,7 +222,6 @@ pub struct DiskBackend {
     dels: Delta,
     wal: Wal,
     live: usize,
-    next_blank: u64,
     auto_compact_records: usize,
     crashed: bool,
     /// Compactions performed over this backend's lifetime (including the
@@ -292,7 +291,6 @@ impl DiskBackend {
                 dels,
                 wal,
                 live,
-                next_blank: 0,
                 auto_compact_records: AUTO_COMPACT_RECORDS,
                 crashed: false,
                 compactions: 0,
@@ -550,16 +548,6 @@ impl Storage for DiskBackend {
         Box::new(
             self.scan_order(Order::Spo, Some(subject), Some(predicate), None).map(|(_, _, o)| o),
         )
-    }
-
-    fn fresh_blank(&mut self) -> Term {
-        loop {
-            let t = Term::blank(format!("g{}", self.next_blank));
-            self.next_blank += 1;
-            if self.dict.lookup(&t).is_none() {
-                return t;
-            }
-        }
     }
 
     fn flush(&mut self) -> Result<()> {

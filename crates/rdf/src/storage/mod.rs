@@ -130,9 +130,6 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
     fn object_ids<'a>(&'a self, subject: u32, predicate: u32)
         -> Box<dyn Iterator<Item = u32> + 'a>;
 
-    /// Mints a store-scoped fresh blank node (not yet interned).
-    fn fresh_blank(&mut self) -> Term;
-
     /// Durability barrier: after `Ok(())`, every previously acknowledged
     /// mutation survives a crash. No-op for volatile backends.
     fn flush(&mut self) -> Result<()> {
@@ -266,10 +263,6 @@ impl Storage for GraphStore {
         predicate: u32,
     ) -> Box<dyn Iterator<Item = u32> + 'a> {
         Box::new(GraphStore::object_ids(self, subject, predicate))
-    }
-
-    fn fresh_blank(&mut self) -> Term {
-        GraphStore::fresh_blank(self)
     }
 }
 
@@ -601,20 +594,6 @@ mod tests {
             Err(crate::RdfError::TurtleSyntax { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected TurtleSyntax at line 2, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fresh_blanks_never_collide_across_reopen() {
-        let dir = TempDir::new("blank");
-        {
-            let mut d = DiskBackend::open(dir.path()).unwrap();
-            let b = d.fresh_blank();
-            d.insert(Triple::new(b, iri(1), iri(2))).unwrap();
-            d.flush().unwrap();
-        }
-        let mut d = DiskBackend::open(dir.path()).unwrap();
-        let b2 = d.fresh_blank();
-        assert_eq!(d.id_of(&b2), None, "fresh blank must be unused: {b2}");
     }
 }
 

@@ -64,8 +64,6 @@ pub struct GraphStore {
     spo: BTreeSet<Key>,
     pos: BTreeSet<Key>,
     osp: BTreeSet<Key>,
-    /// Counter for store-scoped fresh blank nodes.
-    next_blank: u64,
 }
 
 impl GraphStore {
@@ -312,13 +310,6 @@ impl GraphStore {
             .map(|t| t.object)
     }
 
-    /// Mints a store-scoped fresh blank node.
-    pub fn fresh_blank(&mut self) -> Term {
-        let t = Term::blank(format!("g{}", self.next_blank));
-        self.next_blank += 1;
-        t
-    }
-
     /// Inserts every triple from an iterator; returns how many were new.
     pub fn extend(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
         triples.into_iter().filter(|t| self.insert(t.clone())).count()
@@ -472,14 +463,6 @@ mod tests {
         assert_eq!(g.remove_matching(&TriplePattern::new(None, None, None)), 1);
         assert!(g.is_empty());
         assert!(g.term_count() > 0, "dictionary survives clear");
-    }
-
-    #[test]
-    fn fresh_blanks_are_distinct() {
-        let mut g = GraphStore::new();
-        let a = g.fresh_blank();
-        let b = g.fresh_blank();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -1,25 +1,22 @@
 //! Structured access log for `qv serve`: one JSONL record per request.
 //!
-//! Records land in a bounded, lock-sharded in-memory ring (served back
-//! at `GET /log/recent`) and, when a file sink is attached via
+//! Records land in a bounded in-memory ring (served back at
+//! `GET /log/recent`) and, when a file sink is attached via
 //! `--access-log <path>`, are appended to disk as they arrive. Each
 //! record carries the request's [`RunId`] when one was minted, so an
 //! access-log line is the entry point into the full correlation chain
 //! (trace → ledger → stats) via `GET /runs/<id>`.
 //!
-//! Shards are picked round-robin by the record's global sequence
-//! number, so concurrent workers land on different mutexes most of the
-//! time, residency stays exactly bounded, and reading the ring back
-//! restores total order by sequence number.
+//! One lock guards the sequence counter, the sink and the ring, so the
+//! file holds its lines in `seq` order and the ring holds exactly its
+//! capacity once full. `qv serve` records a few dozen requests a second,
+//! so the lock is never contended enough to shard.
 
 use crate::runid::RunId;
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-const SHARDS: usize = crate::metrics::SHARDS;
 
 /// One served request (or early failure), as recorded by the server.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,28 +71,26 @@ impl AccessRecord {
     }
 }
 
-#[derive(Default)]
-struct Shard {
+/// The state one lock guards: the next sequence number, the sink and
+/// the ring.
+struct Inner {
+    next_seq: u64,
     ring: VecDeque<AccessRecord>,
+    sink: Option<std::fs::File>,
 }
 
-/// Bounded, sharded access-log ring with an optional file sink.
+/// Bounded access-log ring with an optional file sink.
 pub struct AccessLog {
-    shards: [Mutex<Shard>; SHARDS],
-    seq: AtomicU64,
-    /// Per-shard ring capacity (total capacity / SHARDS, at least 1).
-    shard_capacity: usize,
-    sink: Option<Mutex<std::fs::File>>,
+    inner: Mutex<Inner>,
+    capacity: usize,
 }
 
 impl AccessLog {
     /// An in-memory-only log keeping the most recent `capacity` records.
     pub fn new(capacity: usize) -> AccessLog {
         AccessLog {
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            seq: AtomicU64::new(0),
-            shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            sink: None,
+            inner: Mutex::new(Inner { next_seq: 0, ring: VecDeque::new(), sink: None }),
+            capacity,
         }
     }
 
@@ -103,46 +98,44 @@ impl AccessLog {
     /// JSON line as it arrives.
     pub fn with_sink(capacity: usize, path: &Path) -> std::io::Result<AccessLog> {
         let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        let mut log = AccessLog::new(capacity);
-        log.sink = Some(Mutex::new(file));
+        let log = AccessLog::new(capacity);
+        log.lock().sink = Some(file);
         Ok(log)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Records one request. The record's `seq` field is assigned here;
     /// the caller fills everything else.
     pub fn record(&self, mut record: AccessRecord) {
-        record.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if let Some(sink) = &self.sink {
+        let mut inner = self.lock();
+        record.seq = inner.next_seq;
+        inner.next_seq += 1;
+        if let Some(file) = &mut inner.sink {
             let mut line = record.to_json();
             line.push('\n');
-            let mut file = sink.lock().unwrap_or_else(|e| e.into_inner());
             if file.write_all(line.as_bytes()).is_err() {
                 crate::metrics().counter("serve.accesslog.sink_error").inc();
             }
         }
-        let shard = &self.shards[(record.seq % SHARDS as u64) as usize];
-        let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-        while shard.ring.len() >= self.shard_capacity {
-            shard.ring.pop_front();
+        if self.capacity > 0 {
+            if inner.ring.len() == self.capacity {
+                inner.ring.pop_front();
+            }
+            inner.ring.push_back(record);
         }
-        shard.ring.push_back(record);
     }
 
     /// Total records ever recorded.
     pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.lock().next_seq
     }
 
     /// The most recent records, newest first, up to `limit`.
     pub fn recent(&self, limit: usize) -> Vec<AccessRecord> {
-        let mut all: Vec<AccessRecord> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            all.extend(shard.ring.iter().cloned());
-        }
-        all.sort_by_key(|r| std::cmp::Reverse(r.seq));
-        all.truncate(limit);
-        all
+        self.lock().ring.iter().rev().take(limit).cloned().collect()
     }
 
     /// The most recent records as JSON lines, newest first.
@@ -221,6 +214,57 @@ mod tests {
         assert_eq!(text.lines().count(), 3);
         crate::schema::validate_access_log_jsonl(&text).unwrap();
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn residency_equals_the_capacity() {
+        let log = AccessLog::new(10);
+        for _ in 0..25 {
+            log.record(record("/run", 200));
+        }
+        let recent = log.recent(usize::MAX);
+        assert_eq!(recent.len(), 10);
+        assert_eq!(
+            recent.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            (15..25).rev().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn concurrent_sink_lines_keep_sequence_order() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 2_000;
+        const CAPACITY: usize = 1_000;
+        let path = std::env::temp_dir()
+            .join(format!("qv-accesslog-order-test-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let log = AccessLog::with_sink(CAPACITY, &path).expect("open sink");
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for _ in 0..PER_THREAD {
+                        log.record(record("/run", 200));
+                    }
+                });
+            }
+        });
+        let recent = log.recent(usize::MAX);
+        drop(log);
+        let text = std::fs::read_to_string(&path).expect("read sink");
+        let _ = std::fs::remove_file(&path);
+
+        let seqs: Vec<u64> = text
+            .lines()
+            .map(|line| {
+                let value = crate::json::parse(line).expect("sink line parses");
+                value.get("seq").and_then(|v| v.as_u64()).expect("seq")
+            })
+            .collect();
+        assert_eq!(seqs.len(), THREADS * PER_THREAD);
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "sink lines out of seq order");
+        assert_eq!(recent.len(), CAPACITY);
+        assert_eq!(recent[0].seq, (THREADS * PER_THREAD - 1) as u64);
+        assert!(recent.windows(2).all(|w| w[0].seq == w[1].seq + 1), "ring is not newest first");
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!   (no locks on the hot path) and merged into a [`span::SpanTrace`] when
 //!   an enactment finishes;
 //! * [`metrics`](mod@metrics) — a process-wide registry of counters, gauges and
-//!   fixed-bucket log₂-scale histograms backed by sharded atomics, so the
-//!   enrichment hot path can record rates and latencies without
-//!   serialising writers;
+//!   fixed-bucket log₂-scale histograms backed by sharded atomics, for
+//!   what no per-run record holds: requests served, the storage layer's
+//!   journal and compactions, the enrichment access path, SPARQL and lint
+//!   passes. A plan node is counted and timed once, in its
+//!   [`stats::NodeStats`], not again here;
 //! * [`ledger`] — decision-provenance records: per data item, the
 //!   evidence values fetched (Data Enrichment), the scores/classes
 //!   assigned (Quality Assertions) and the actions taken, each linked to
@@ -32,10 +34,8 @@
 //! * [`runid`] — the correlation spine: a [`runid::RunId`] minted per
 //!   request/invocation and stamped onto spans and decision traces, and
 //!   keying the engine's record of the run;
-//! * [`accesslog`] — a bounded, sharded structured access log (one JSON
-//!   line per served request, each carrying its run id);
-//! * [`slo`] — per-route latency/availability error budgets over a
-//!   sliding window of the existing request metrics;
+//! * [`accesslog`] — a bounded structured access log (one JSON line per
+//!   served request, each carrying its run id);
 //! * [`stats`] — observed plan-node statistics (EXPLAIN ANALYZE):
 //!   per-run [`stats::RunStats`] merged across workers, and across runs
 //!   for `qv profile` and `GET /stats/<view>`;
@@ -60,7 +60,6 @@ pub mod naming;
 pub mod profile;
 pub mod runid;
 pub mod schema;
-pub mod slo;
 pub mod span;
 pub mod stats;
 
@@ -69,7 +68,6 @@ pub use ledger::{ActionRecord, AssertionRecord, DecisionTrace, EvidenceRecord};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::Profile;
 pub use runid::RunId;
-pub use slo::{RouteSlo, SloConfig, SloTracker};
 pub use span::{AttrValue, Span, SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession};
 pub use stats::{NodeStats, RunStats, StatsCollector};
 

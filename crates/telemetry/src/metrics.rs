@@ -442,13 +442,13 @@ mod tests {
     #[test]
     fn labeled_counters_are_distinct_and_sorted() {
         let registry = MetricsRegistry::new();
-        registry.counter_with("qa.classify.count", &[("class", "high")]).add(3);
-        registry.counter_with("qa.classify.count", &[("class", "low")]).add(1);
+        registry.counter_with("serve.requests", &[("route", "/run")]).add(1);
+        registry.counter_with("serve.requests", &[("route", "/metrics")]).add(3);
         let snapshot = registry.snapshot();
         let names: Vec<&str> = snapshot.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
-            vec!["qa.classify.count{class=\"high\"}", "qa.classify.count{class=\"low\"}"]
+            vec!["serve.requests{route=\"/metrics\"}", "serve.requests{route=\"/run\"}"]
         );
         assert_eq!(snapshot[0].1, MetricValue::Counter(3));
     }

@@ -2,7 +2,7 @@
 //!
 //! Every metric this workspace registers follows
 //! `<subsystem>.<noun>.<verb|unit>` — two to three dots, lowercase
-//! `snake_case` segments (`store.wal.fsync_ns`, `plan.pass.duration_us`).
+//! `snake_case` segments (`store.wal.fsync_ns`, `lint.pass.duration_us`).
 //! [`ALLOWLIST`] is the committed registry of names; a metric that is not
 //! listed here fails `qv telemetry-check`, so new instrumentation cannot
 //! silently drift from the scheme. A handful of pre-convention names are
@@ -14,26 +14,11 @@ use std::collections::BTreeSet;
 /// Every metric name the workspace may register, sorted. Add new metrics
 /// here (and keep them convention-clean) before registering them.
 pub const ALLOWLIST: &[&str] = &[
-    "annotations.write.count",
-    "enact.node.duration_ns",
-    "enact.wave.width",
-    "engine.execute.count",
-    "enrich.bulk.calls",
     "enrich.bulk.dense",
-    "enrich.bulk.latency_ns",
-    "enrich.bulk.rows",
     "enrich.bulk.sparse",
-    "enrich.lookup.count",
-    "enrich.lookup.latency_ns",
-    "enrich.op.items",
-    "enrich.op.latency_ns",
     "lint.diagnostics",
     "lint.pass.duration_us",
     "lint.pass.runs",
-    "plan.pass.duration_us",
-    "plan.pass.runs",
-    "qa.assert.count",
-    "qa.classify.count",
     "serve.accesslog.sink_error",
     "serve.queue.depth",
     "serve.read.error",
@@ -42,8 +27,6 @@ pub const ALLOWLIST: &[&str] = &[
     "serve.requests",
     "serve.shed.count",
     "serve.write_error",
-    "slo.budget.remaining",
-    "slo.burn.rate",
     "sparql.query.count",
     "sparql.query.latency_ns",
     "sparql.result.rows",
@@ -162,7 +145,7 @@ mod tests {
         assert_eq!(base_name("serve.requests{route=\"/run\",status=\"200\"}"), "serve.requests");
         assert_eq!(base_name("store.wal.fsync_ns_bucket{le=\"1024\"}"), "store.wal.fsync_ns");
         assert_eq!(base_name("store.wal.fsync_ns_p95"), "store.wal.fsync_ns");
-        assert_eq!(base_name("enrich.lookup.count"), "enrich.lookup.count");
+        assert_eq!(base_name("store.compact.count"), "store.compact.count");
     }
 
     #[test]
@@ -175,7 +158,7 @@ mod tests {
 
     #[test]
     fn lint_walks_an_exposition() {
-        let good = "# comment\nenrich.op.items 5\nserve.requests{route=\"/run\"} 2\nplan.pass.duration_us_p50 10\n";
+        let good = "# comment\nenrich.bulk.sparse 5\nserve.requests{route=\"/run\"} 2\nlint.pass.duration_us_p50 10\n";
         assert_eq!(lint_metrics_text(good), Ok(3));
         let bad = "rogue.metric 1\n";
         let errs = lint_metrics_text(bad).unwrap_err();

@@ -478,7 +478,7 @@ mod tests {
 
     #[test]
     fn accepts_valid_metrics_text() {
-        let text = "enrich.bulk.rows 120\nqa.classify.count{class=\"q:high\"} 7\nenrich.lookup.latency_p95 2047\n";
+        let text = "enrich.bulk.sparse 120\nlint.diagnostics{code=\"QV017\"} 7\nsparql.query.latency_ns_p95 2047\n";
         assert_eq!(validate_metrics_text(text).unwrap(), 3);
     }
 
@@ -516,13 +516,13 @@ mod tests {
     #[test]
     fn registry_output_passes_validation() {
         let registry = crate::metrics::MetricsRegistry::new();
-        registry.counter_with("qa.classify.count", &[("class", "q:\"odd\"")]).inc();
-        registry.histogram("enrich.lookup.latency").record(100);
-        registry.gauge("enact.wave.width").set(4);
+        registry.counter_with("serve.requests", &[("route", "q:\"odd\"")]).inc();
+        registry.histogram("store.wal.fsync_ns").record(100);
+        registry.gauge("serve.queue.depth").set(4);
         let text = registry.render_prometheus();
         // counter + gauge + histogram (1 non-empty bucket + +Inf + count/sum/p50/p95)
         assert_eq!(validate_metrics_text(&text).unwrap(), 8);
-        assert!(text.contains("enrich.lookup.latency_bucket{le=\"127\"} 1"));
-        assert!(text.contains("enrich.lookup.latency_bucket{le=\"+Inf\"} 1"));
+        assert!(text.contains("store.wal.fsync_ns_bucket{le=\"127\"} 1"));
+        assert!(text.contains("store.wal.fsync_ns_bucket{le=\"+Inf\"} 1"));
     }
 }

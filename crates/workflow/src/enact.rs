@@ -11,26 +11,15 @@ use crate::model::{PortRef, Workflow};
 use crate::processor::{Context, Inputs, Outputs, Processor};
 use crate::{Result, WorkflowError};
 use qurator_telemetry::span::Span;
-use qurator_telemetry::{Histogram, SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession};
+use qurator_telemetry::{SpanId, SpanKind, SpanRecorder, SpanTrace, TraceSession};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Per-node invocation spans are capped so implicit iteration over a
 /// large collection cannot blow up the trace; the overflow is recorded
 /// on the node span as `invocations.dropped`.
 const MAX_INVOCATION_SPANS: usize = 4096;
-
-fn wave_width_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| qurator_telemetry::metrics().histogram("enact.wave.width"))
-}
-
-fn node_duration_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| qurator_telemetry::metrics().histogram("enact.node.duration_ns"))
-}
 
 /// Per-node timing and sizing captured during an enactment.
 #[derive(Debug, Clone)]
@@ -150,7 +139,6 @@ impl Enactor {
         let mut worker_spans: Vec<Span> = Vec::new();
 
         for (wave_index, wave) in waves.iter().enumerate() {
-            wave_width_hist().record(wave.len() as u64);
             let wave_span =
                 main_rec.start(format!("wave:{wave_index}"), SpanKind::Wave, Some(view_span));
             main_rec.attr(wave_span, "width", wave.len());
@@ -202,7 +190,6 @@ impl Enactor {
                 let output_leaves = run.outputs.values().map(Data::leaf_count).sum();
                 let processor_type =
                     workflow.processor(&run.node).expect("node exists").type_name().to_string();
-                node_duration_hist().record(run.duration.as_nanos() as u64);
                 worker_spans.extend(run.spans);
                 for (port, value) in run.outputs {
                     port_values.insert(PortRef::new(run.node.clone(), port), value);
