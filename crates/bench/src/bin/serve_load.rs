@@ -26,6 +26,12 @@
 //!     [--clients N] [--requests R] [--rows M] [--workers W] [--pace-ms P]
 //! ```
 //!
+//! After each variant the bench reads the server's own account of the
+//! measured requests from `GET /log/recent?limit=1024`: the p50 and p99
+//! of the `/run` records' `latency_us` (first byte read to last byte
+//! written), and the six phases of the p99 request, which sum to its
+//! latency. With paced clients, `read` carries the pace.
+//!
 //! The server is stopped with SIGTERM after each variant and its exit
 //! status checked, so the graceful-drain contract is exercised on every
 //! bench run too.
@@ -38,6 +44,8 @@ use std::time::{Duration, Instant};
 use bench::results::{quantile, BenchResult};
 use bench::synthetic_hits_tsv;
 use qurator_repro::ispider::figure7_view;
+use qurator_telemetry::accesslog::PHASES;
+use qurator_telemetry::json;
 
 struct Args {
     clients: usize,
@@ -215,6 +223,52 @@ fn read_response(stream: &mut TcpStream) -> u16 {
     status
 }
 
+/// The server's own account of the newest `count` `/run` requests, read
+/// from its access log: p50 and p99 latency (ms) and the phases (ms) of
+/// the p99 request.
+struct ServerSide {
+    p50_ms: f64,
+    p99_ms: f64,
+    p99_phases_ms: Vec<(&'static str, f64)>,
+}
+
+fn server_side(addr: &str, count: usize) -> ServerSide {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(
+            b"GET /log/recent?limit=1024 HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n",
+        )
+        .expect("write");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read /log/recent");
+    let body = response.split_once("\r\n\r\n").expect("response head").1;
+    // newest first: the measured requests, without the warm-up before them
+    let mut runs: Vec<(u64, json::Value)> = body
+        .lines()
+        .map(|line| json::parse(line).expect("access record"))
+        .filter(|r| r.get("route").and_then(|v| v.as_str()) == Some("/run"))
+        .take(count)
+        .map(|r| (r.get("latency_us").and_then(|v| v.as_u64()).expect("latency_us"), r))
+        .collect();
+    assert_eq!(runs.len(), count, "the 1024-record access-log ring holds every measured request");
+    runs.sort_by_key(|(latency_us, _)| *latency_us);
+    let latencies: Vec<f64> = runs.iter().map(|(us, _)| *us as f64 / 1e3).collect();
+    // the record `quantile` picks: the smallest at or above rank 0.99 n
+    let (p99_us, p99) = &runs[((0.99 * count as f64).ceil() as usize).clamp(1, count) - 1];
+    let phases_ns: Vec<u64> = PHASES
+        .iter()
+        .map(|phase| p99.get("phases_ns").and_then(|p| p.get(phase)).and_then(|v| v.as_u64()))
+        .collect::<Option<_>>()
+        .expect("six phases");
+    let sum_ns: u64 = phases_ns.iter().sum();
+    assert!(sum_ns.abs_diff(p99_us * 1_000) <= 1_000, "phases {sum_ns} ns, latency {p99_us} µs");
+    ServerSide {
+        p50_ms: quantile(&latencies, 0.5),
+        p99_ms: quantile(&latencies, 0.99),
+        p99_phases_ms: PHASES.iter().zip(phases_ns).map(|(p, ns)| (*p, ns as f64 / 1e6)).collect(),
+    }
+}
+
 /// Drives `clients` concurrent keep-alive clients and returns
 /// (wall seconds, per-request latencies ms, error count).
 fn drive(
@@ -255,7 +309,7 @@ fn main() {
     std::fs::write(&view_path, qurator::xmlio::spec_to_xml(&spec)).expect("write view");
     let body = synthetic_hits_tsv(args.rows);
 
-    let run_variant = |workers: usize| -> (f64, Vec<f64>) {
+    let run_variant = |workers: usize| -> (f64, Vec<f64>, ServerSide) {
         let server = spawn_server(&qv, &view_path, workers);
         // warm-up: condition compiler, annotation caches, allocator
         let (_, warm_errors) = run_client(&server.addr, &view_name, &body, 3, Duration::ZERO);
@@ -263,6 +317,7 @@ fn main() {
         let (wall, latencies, errors) =
             drive(&server.addr, &view_name, &body, args.clients, args.requests, args.pace);
         assert_eq!(errors, 0, "{errors} request(s) failed under workers={workers}");
+        let served = server_side(&server.addr, args.clients * args.requests);
         assert!(stop_server(server), "server did not drain to exit 0 (workers={workers})");
         let rps = (args.clients * args.requests) as f64 / wall;
         println!(
@@ -271,15 +326,23 @@ fn main() {
             quantile(&latencies, 0.5),
             quantile(&latencies, 0.99),
         );
-        (rps, latencies)
+        let phases: Vec<String> =
+            served.p99_phases_ms.iter().map(|(p, ms)| format!("{p} {ms:.2}")).collect();
+        println!(
+            "           server: p50={:.2}ms  p99={:.2}ms  (p99 request, ms: {})",
+            served.p50_ms,
+            served.p99_ms,
+            phases.join(", ")
+        );
+        (rps, latencies, served)
     };
 
-    let (rps_single, _) = run_variant(1);
-    let (rps_pool, latencies) = run_variant(args.workers);
+    let (rps_single, _, _) = run_variant(1);
+    let (rps_pool, latencies, served) = run_variant(args.workers);
     let speedup = if rps_single > 0.0 { rps_pool / rps_single } else { 0.0 };
     println!("speedup: {speedup:.2}x over the single-worker (pre-fix) accept loop");
 
-    let result = BenchResult::new("serve_load")
+    let mut result = BenchResult::new("serve_load")
         .config("clients", args.clients)
         .config("requests_per_client", args.requests)
         .config("rows", args.rows)
@@ -291,7 +354,12 @@ fn main() {
         .metric("speedup", speedup)
         .metric("p50_ms", quantile(&latencies, 0.5))
         .metric("p99_ms", quantile(&latencies, 0.99))
-        .samples_ms(latencies);
+        .metric("server_p50_ms", served.p50_ms)
+        .metric("server_p99_ms", served.p99_ms);
+    for (phase, ms) in &served.p99_phases_ms {
+        result = result.metric(format!("server_p99_{phase}_ms"), *ms);
+    }
+    let result = result.samples_ms(latencies);
     let path = result.write().expect("write artifact");
     println!("wrote {}", path.display());
 }

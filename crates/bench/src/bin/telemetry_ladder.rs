@@ -9,8 +9,9 @@
 //! 2. `+ stats` — the per-node `NodeStats` counters (`qv run`'s default);
 //! 3. `+ ledger` — per-run decision capture under `qv serve`'s item
 //!    budget;
-//! 4. `+ correlation` — a caller-minted `RunId` and one access-log
-//!    record per request: `qv serve`'s configuration.
+//! 4. `+ correlation` — a caller-minted `RunId`, a phase clock around
+//!    the run and one access-log record per request: `qv serve`'s
+//!    configuration.
 //!
 //! Every step keeps each run's span trace in its record in the engine's
 //! run ring, so trace retention is part of the baseline.
@@ -40,7 +41,7 @@ use std::time::Instant;
 use bench::results::{quantile, BenchResult};
 use bench::{bench_view, synthetic_hits};
 use qurator::prelude::*;
-use qurator_telemetry::{AccessLog, AccessRecord, RunId};
+use qurator_telemetry::{AccessLog, AccessRecord, Phase, PhaseClock, RunId};
 
 const ROUNDS: usize = 21;
 const ITEMS_PER_SAMPLE: usize = 3_200;
@@ -110,10 +111,12 @@ fn main() {
         for _ in 0..requests {
             let start = Instant::now();
             if step.correlated {
+                let mut clock = PhaseClock::starting_at(start);
                 let run = RunId::mint();
                 std::hint::black_box(
                     step.engine.execute_view_run(&spec, &dataset, run).expect("correlated run"),
                 );
+                clock.mark(Phase::Execute);
                 access_log.record(AccessRecord {
                     seq: 0,
                     ts_ms: 0,
@@ -121,7 +124,7 @@ fn main() {
                     route: "/run".into(),
                     status: 200,
                     bytes: 0,
-                    latency_us: 0,
+                    phases_ns: clock.phases_ns(),
                     run_id: Some(run),
                     shed: false,
                     timeout: false,

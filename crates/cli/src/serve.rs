@@ -38,9 +38,10 @@
 //! so one slow (or half-open) client stalled every other submission.
 //! [`Server::run`] now runs a fixed pool instead:
 //!
-//! * the **accept thread** (the caller of `run`) accepts connections
-//!   non-blockingly, polling the shutdown flag, and pushes each socket
-//!   into a **bounded queue** (`Mutex<VecDeque>` + condvar,
+//! * the **accept thread** (the caller of `run`) waits in `poll(2)` for
+//!   a connection, waking every [`SHUTDOWN_POLL`] to look at the
+//!   shutdown flag, and pushes each socket into a **bounded queue**
+//!   (`Mutex<VecDeque>` + condvar,
 //!   [`ServeConfig::queue_capacity`] deep, depth exported as the
 //!   `serve.queue.depth` gauge);
 //! * when the queue is full the connection is **shed** right there: the
@@ -67,9 +68,22 @@
 //! sockets; the connection layer above it owns framing, keep-alive and
 //! error mapping (400 malformed / 408 timeout / 413 oversized / 503
 //! shed).
+//!
+//! ## Request timing
+//!
+//! Each response (status line, headers and body) is framed into one
+//! buffer and written with one `write_all` on a `TCP_NODELAY` socket. A
+//! head written apart from its body waits, under Nagle's algorithm, for
+//! the client's delayed ACK of the head: about 40 ms per request on
+//! Linux. A [`PhaseClock`] times each request from the first byte read
+//! to the last byte written, in six phases (read, parse, execute,
+//! flush, serialize, write) that sum to the access record's
+//! `latency_us`. The record is pushed after the write and before the
+//! connection reads its next request or closes, so a client that asks
+//! `GET /log/recent` next, or waits for the close, finds it.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read as _, Write as _};
+use std::io::{ErrorKind, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,7 +94,7 @@ use qurator::ledger::RUN_CAPACITY;
 use qurator::prelude::*;
 use qurator::spec::ActionKind;
 use qurator_telemetry::json::escape;
-use qurator_telemetry::{AccessLog, AccessRecord, RunId};
+use qurator_telemetry::{AccessLog, AccessRecord, Phase, PhaseClock, RunId};
 
 use crate::tsv;
 
@@ -260,15 +274,31 @@ pub fn route_label(path: &str) -> &'static str {
     }
 }
 
-/// Dispatches one request. Also counts it in `serve.requests{route,status}`
-/// so the endpoint observes itself through the same registry it exports;
-/// the connection layer times it.
-pub fn route(state: &ServeState, method: &str, target: &str, body: &str) -> Response {
+/// Dispatches one request. `POST /run/<view>` marks its own parse,
+/// execute and flush phases on `clock`; any other handler is one execute
+/// phase. Also counts the request in `serve.requests{route,status}` so
+/// the endpoint observes itself through the same registry it exports.
+pub fn route(
+    state: &ServeState,
+    method: &str,
+    target: &str,
+    body: &str,
+    clock: &mut PhaseClock,
+) -> Response {
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
     };
-    let response = route_inner(state, method, path, query, body);
+    let response = match (method, path) {
+        ("POST", run) if run.starts_with("/run/") => {
+            run_view(state, &run["/run/".len()..], body, clock)
+        }
+        _ => {
+            let response = route_inner(state, method, path, query);
+            clock.mark(Phase::Execute);
+            response
+        }
+    };
     qurator_telemetry::metrics()
         .counter_with(
             "serve.requests",
@@ -290,13 +320,7 @@ fn parse_limit(query: Option<&str>, default: usize) -> Result<usize, String> {
     raw.parse::<usize>().map_err(|_| format!("limit {raw:?} is not a non-negative integer"))
 }
 
-fn route_inner(
-    state: &ServeState,
-    method: &str,
-    path: &str,
-    query: Option<&str>,
-    body: &str,
-) -> Response {
+fn route_inner(state: &ServeState, method: &str, path: &str, query: Option<&str>) -> Response {
     match (method, path) {
         ("GET", "/") => Response::json(200, index_json(state)),
         ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -328,7 +352,6 @@ fn route_inner(
         ("GET", stats) if stats.starts_with("/stats/") => {
             view_stats(state, &stats["/stats/".len()..])
         }
-        ("POST", run) if run.starts_with("/run/") => run_view(state, &run["/run/".len()..], body),
         (_, "/" | "/healthz" | "/metrics" | "/traces/recent" | "/log/recent" | "/store") => {
             Response::error(405, &format!("{method} not allowed here"))
         }
@@ -445,20 +468,25 @@ fn store_json(state: &ServeState) -> String {
 /// actions) are derived the same way the engine's run record counts
 /// them: items in minus items out. The run id is echoed on every
 /// response that reached the engine — including engine errors, whose
-/// runs leave a record too.
-fn run_view(state: &ServeState, view: &str, body: &str) -> Response {
+/// runs leave a record too. Marks the parse, execute and flush phases
+/// on `clock` as far as the request gets; the summary is serialization.
+fn run_view(state: &ServeState, view: &str, body: &str, clock: &mut PhaseClock) -> Response {
     let Some(spec) = state.views.get(view) else {
         return Response::error(
             404,
             &format!("unknown view {view:?}; published: {}", state.view_names().join(", ")),
         );
     };
-    let dataset = match tsv::read_dataset(body) {
+    let dataset = tsv::read_dataset(body);
+    clock.mark(Phase::Parse);
+    let dataset = match dataset {
         Ok(d) => d,
         Err(e) => return Response::error(400, &e),
     };
     let run = RunId::mint();
-    let outcome = match state.engine.execute_view_run(spec, &dataset, run) {
+    let outcome = state.engine.execute_view_run(spec, &dataset, run);
+    clock.mark(Phase::Execute);
+    let outcome = match outcome {
         Ok(o) => o,
         Err(e) => {
             // a failing store is the server's fault; anything else is the
@@ -472,7 +500,9 @@ fn run_view(state: &ServeState, view: &str, body: &str) -> Response {
     // Durability barrier before acknowledging: disk-backed repositories
     // group-commit their journal here, so a crash right after this
     // response cannot lose the run's annotations.
-    if let Err(e) = state.engine.flush_stores() {
+    let flushed = state.engine.flush_stores();
+    clock.mark(Phase::Flush);
+    if let Err(e) = flushed {
         let mut response =
             Response::error(500, &format!("run executed but the store flush failed: {e}"));
         response.run_id = Some(run);
@@ -554,17 +584,22 @@ enum ReadError {
 struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// When the request being read began: the first `read` that returned
+    /// its bytes, or the start of [`Conn::read_request`] when pipelined
+    /// bytes were already buffered. Idle keep-alive time is not in it.
+    started: Option<Instant>,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Self {
-        Conn { stream, buf: Vec::with_capacity(1024) }
+        Conn { stream, buf: Vec::with_capacity(1024), started: None }
     }
 
     /// Reads one request. `Ok(None)` means the peer closed (or sat idle
     /// past the read timeout) *between* requests — a clean keep-alive
     /// close, not an error.
     fn read_request(&mut self) -> Result<Option<Request>, ReadError> {
+        self.started = (!self.buf.is_empty()).then(Instant::now);
         let mut chunk = [0u8; 4096];
         let head_end = loop {
             if let Some(pos) = find_head_end(&self.buf) {
@@ -576,7 +611,10 @@ impl Conn {
             match self.stream.read(&mut chunk) {
                 Ok(0) if self.buf.is_empty() => return Ok(None),
                 Ok(0) => return Err(ReadError::Malformed("connection closed mid-request".into())),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.started.get_or_insert_with(Instant::now);
+                    self.buf.extend_from_slice(&chunk[..n]);
+                }
                 Err(e) if is_timeout(&e) && self.buf.is_empty() => return Ok(None),
                 Err(e) if is_timeout(&e) => return Err(ReadError::Timeout),
                 Err(e) => return Err(ReadError::Io(e.to_string())),
@@ -653,6 +691,14 @@ impl Conn {
         self.buf = rest;
         Ok(Some(Request { method, target, body, close }))
     }
+
+    /// A clock for the request just read: it starts at the request's
+    /// first byte, and its read phase ends now.
+    fn read_clock(&self) -> PhaseClock {
+        let mut clock = PhaseClock::starting_at(self.started.unwrap_or_else(Instant::now));
+        clock.mark(Phase::Read);
+        clock
+    }
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -663,7 +709,8 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-fn write_response(stream: &mut TcpStream, response: &Response, close: bool) -> std::io::Result<()> {
+/// Frames `response` (status line, headers and body) into one buffer.
+fn frame(response: &Response, close: bool) -> Vec<u8> {
     let retry_after = match response.retry_after {
         Some(secs) => format!("Retry-After: {secs}\r\n"),
         None => String::new(),
@@ -672,8 +719,9 @@ fn write_response(stream: &mut TcpStream, response: &Response, close: bool) -> s
         Some(run) => format!("X-QV-Run-Id: {run}\r\n"),
         None => String::new(),
     };
+    let mut framed = Vec::with_capacity(160 + response.body.len());
     write!(
-        stream,
+        framed,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}Connection: {}\r\n\r\n",
         response.status,
         reason(response.status),
@@ -682,9 +730,16 @@ fn write_response(stream: &mut TcpStream, response: &Response, close: bool) -> s
         retry_after,
         run_id,
         if close { "close" } else { "keep-alive" },
-    )?;
-    stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    )
+    .expect("writing into a Vec cannot fail");
+    framed.extend_from_slice(response.body.as_bytes());
+    framed
+}
+
+/// Writes one framed response with one `write_all`.
+fn write_response(out: &mut impl Write, framed: &[u8]) -> std::io::Result<()> {
+    out.write_all(framed)?;
+    out.flush()
 }
 
 /// `QV_SERVE_LOG=debug` turns on per-connection stderr diagnostics
@@ -697,13 +752,13 @@ fn debug_log_enabled() -> bool {
     })
 }
 
-/// Sends `response` and accounts for the outcome: broken-pipe writes are
-/// counted (`serve.write_error`) and logged at debug level with the peer
-/// address instead of vanishing. Returns whether the connection is still
-/// usable.
-fn send_response(stream: &mut TcpStream, response: &Response, close: bool) -> bool {
-    match write_response(stream, response, close) {
-        Ok(()) => !close,
+/// Sends a framed response and accounts for the outcome: broken-pipe
+/// writes are counted (`serve.write_error`) and logged at debug level
+/// with the peer address instead of vanishing. Returns whether the write
+/// succeeded.
+fn send_response(stream: &mut TcpStream, framed: &[u8]) -> bool {
+    match write_response(stream, framed) {
+        Ok(()) => true,
         Err(e) => {
             qurator_telemetry::metrics().counter("serve.write_error").inc();
             if debug_log_enabled() {
@@ -727,6 +782,23 @@ fn record_early(status: u16) {
         .inc();
 }
 
+/// The access record of an answered request, taken once its last byte
+/// is written.
+fn access_record(peer: &str, route: &str, response: &Response, clock: &PhaseClock) -> AccessRecord {
+    AccessRecord {
+        seq: 0,
+        ts_ms: now_ms(),
+        peer: peer.to_string(),
+        route: route.to_string(),
+        status: response.status,
+        bytes: response.body.len() as u64,
+        phases_ns: clock.phases_ns(),
+        run_id: response.run_id,
+        shed: response.retry_after.is_some(),
+        timeout: response.status == 408,
+    }
+}
+
 /// Serves one connection: keep-alive request loop with per-read
 /// timeouts, bounded request count, and error mapping.
 fn handle_connection(
@@ -738,6 +810,7 @@ fn handle_connection(
     // accepted sockets may inherit the listener's non-blocking mode
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let _ = stream.set_nodelay(true);
     let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "-".into());
     let mut conn = Conn::new(stream);
     for served in 1..=config.keep_alive_max {
@@ -748,36 +821,31 @@ fn handle_connection(
         match conn.read_request() {
             Ok(None) => return, // idle or closed between requests
             Ok(Some(request)) => {
-                let started = Instant::now();
-                let response = route(state, &request.method, &request.target, &request.body);
-                // one measurement feeds both the latency histogram and
-                // the access record
-                let latency_us = started.elapsed().as_micros() as u64;
-                let path = request.target.split('?').next().unwrap_or(&request.target);
-                let label = route_label(path);
-                qurator_telemetry::metrics()
-                    .histogram_with("serve.request.latency", &[("route", label)])
-                    .record(latency_us);
-                state.access_log.record(AccessRecord {
-                    seq: 0,
-                    ts_ms: now_ms(),
-                    peer: peer.clone(),
-                    route: label.to_string(),
-                    status: response.status,
-                    bytes: response.body.len() as u64,
-                    latency_us,
-                    run_id: response.run_id,
-                    shed: false,
-                    timeout: false,
-                });
+                let mut clock = conn.read_clock();
+                let response =
+                    route(state, &request.method, &request.target, &request.body, &mut clock);
                 let close = request.close
                     || served == config.keep_alive_max
                     || shutdown.load(Ordering::Relaxed);
-                if !send_response(&mut conn.stream, &response, close) {
+                let framed = frame(&response, close);
+                clock.mark(Phase::Serialize);
+                let sent = send_response(&mut conn.stream, &framed);
+                clock.mark(Phase::Write);
+                // one measurement feeds both the latency histogram and
+                // the access record
+                let path = request.target.split('?').next().unwrap_or(&request.target);
+                let label = route_label(path);
+                let record = access_record(&peer, label, &response, &clock);
+                qurator_telemetry::metrics()
+                    .histogram_with("serve.request.latency", &[("route", label)])
+                    .record(record.latency_us());
+                state.access_log.record(record);
+                if !sent || close {
                     return;
                 }
             }
             Err(error) => {
+                let mut clock = conn.read_clock();
                 let response = match error {
                     ReadError::Malformed(message) => Response::error(400, &message),
                     ReadError::Timeout => {
@@ -795,19 +863,10 @@ fn handle_connection(
                     }
                 };
                 record_early(response.status);
-                state.access_log.record(AccessRecord {
-                    seq: 0,
-                    ts_ms: now_ms(),
-                    peer: peer.clone(),
-                    route: "-".to_string(),
-                    status: response.status,
-                    bytes: response.body.len() as u64,
-                    latency_us: 0,
-                    run_id: None,
-                    shed: false,
-                    timeout: response.status == 408,
-                });
-                send_response(&mut conn.stream, &response, true);
+                // a canned error: framing it is part of the write
+                send_response(&mut conn.stream, &frame(&response, true));
+                clock.mark(Phase::Write);
+                state.access_log.record(access_record(&peer, "-", &response, &clock));
                 return;
             }
         }
@@ -924,6 +983,46 @@ impl Server {
     }
 }
 
+/// How long the accept thread waits for a connection before it looks at
+/// the shutdown flag again: the most a SIGTERM waits for the drain to
+/// begin.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
+
+/// Blocks until `listener` has a connection to accept or
+/// [`SHUTDOWN_POLL`] passes, whichever comes first.
+#[cfg(unix)]
+fn await_connection(listener: &TcpListener) {
+    use std::os::fd::AsRawFd as _;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type NFds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::ffi::c_uint;
+    unsafe extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    // SAFETY: `fd` is one initialised `struct pollfd` that outlives the
+    // call, and `nfds` says one.
+    if unsafe { poll(&mut fd, 1, SHUTDOWN_POLL.as_millis() as i32) } < 0 {
+        // EINTR (a signal landed on this thread) or a failing poll: the
+        // caller looks at the flag and accepts again; the pause keeps a
+        // persistent failure from spinning
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[cfg(not(unix))]
+fn await_connection(_listener: &TcpListener) {
+    std::thread::sleep(Duration::from_millis(5));
+}
+
 /// Accepts until shutdown; full-queue connections are shed with 503 +
 /// `Retry-After` right here, so the accept thread never blocks on a
 /// client and admission stays bounded.
@@ -944,26 +1043,23 @@ fn accept_loop(
                     qurator_telemetry::metrics().counter("serve.shed.count").inc();
                     record_early(503);
                     let response = Response::shed(config.retry_after_secs);
-                    state.access_log.record(AccessRecord {
-                        seq: 0,
-                        ts_ms: now_ms(),
-                        peer: peer.to_string(),
-                        route: "-".to_string(),
-                        status: response.status,
-                        bytes: response.body.len() as u64,
-                        latency_us: 0,
-                        run_id: None,
-                        shed: true,
-                        timeout: false,
-                    });
                     let _ = refused.set_nonblocking(false);
+                    let _ = refused.set_nodelay(true);
                     let _ = refused.set_write_timeout(Some(Duration::from_secs(1)));
-                    send_response(&mut refused, &response, true);
+                    // nothing of a shed request is read: its one phase
+                    // is the write of the canned 503
+                    let mut clock = PhaseClock::starting_at(Instant::now());
+                    send_response(&mut refused, &frame(&response, true));
+                    clock.mark(Phase::Write);
+                    state.access_log.record(access_record(
+                        &peer.to_string(),
+                        "-",
+                        &response,
+                        &clock,
+                    ));
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => await_connection(listener),
             Err(e) => return Err(format!("accept: {e}")),
         }
     }
@@ -1006,6 +1102,12 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         ServeState::new(engine, vec![spec], ServeOptions::default()).unwrap()
     }
 
+    /// Routes one request on a throwaway clock: the routing tests read
+    /// responses, not phases.
+    fn route(state: &ServeState, method: &str, target: &str, body: &str) -> Response {
+        super::route(state, method, target, body, &mut PhaseClock::starting_at(Instant::now()))
+    }
+
     /// A server on an ephemeral port running on a background thread.
     fn spawn(config: ServeConfig) -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
         let server = Server::bind("127.0.0.1:0", state(), config).unwrap();
@@ -1027,7 +1129,7 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
 
     /// Reads exactly one framed response off a keep-alive connection:
     /// `(status, headers, body)`.
-    fn read_response(stream: &mut TcpStream) -> (u16, String, String) {
+    fn read_response(stream: &mut impl std::io::Read) -> (u16, String, String) {
         let mut buf = Vec::new();
         let mut chunk = [0u8; 1024];
         let head_end = loop {
@@ -1070,6 +1172,84 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
             body.len(),
             if close { "Connection: close\r\n" } else { "" }
         )
+    }
+
+    /// A `Write` that counts its `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `/run` answer, a 404 and the shed 503 each leave in one `write`
+    /// call, and their bytes frame the same status, headers (in order)
+    /// and body.
+    #[test]
+    fn each_response_is_written_with_one_write_call() {
+        let state = state();
+        let run = route(&state, "POST", "/run/serve-test", DATA);
+        assert_eq!(run.status, 200, "{}", run.body);
+        let id = run.run_id.unwrap().to_string();
+        let missing = route(&state, "GET", "/nope", "");
+        let cases = [
+            (
+                run,
+                false,
+                vec![
+                    "HTTP/1.1 200 OK",
+                    "Content-Type: application/json",
+                    "X-QV-Run-Id: <id>",
+                    "Connection: keep-alive",
+                ],
+            ),
+            (
+                missing,
+                false,
+                vec![
+                    "HTTP/1.1 404 Not Found",
+                    "Content-Type: application/json",
+                    "Connection: keep-alive",
+                ],
+            ),
+            (
+                Response::shed(1),
+                true,
+                vec![
+                    "HTTP/1.1 503 Service Unavailable",
+                    "Content-Type: application/json",
+                    "Retry-After: 1",
+                    "Connection: close",
+                ],
+            ),
+        ];
+        for (response, close, mut expected) in cases {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, &frame(&response, close)).unwrap();
+            assert_eq!(out.writes, 1, "status {}", response.status);
+
+            let mut wire = out.bytes.as_slice();
+            let (status, head, body) = read_response(&mut wire);
+            assert!(wire.is_empty(), "bytes past the body");
+            assert_eq!(status, response.status);
+            assert_eq!(body, response.body);
+            // Content-Length sits second, after Content-Type
+            let length = format!("Content-Length: {}", response.body.len());
+            expected.insert(2, &length);
+            let expected: Vec<String> = expected.iter().map(|l| l.replace("<id>", &id)).collect();
+            assert_eq!(head.split("\r\n").collect::<Vec<_>>(), expected);
+        }
     }
 
     #[test]
@@ -1516,6 +1696,87 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         // the connection layer's one measurement also fed the histogram
         let rendered = qurator_telemetry::metrics().render_prometheus();
         assert!(rendered.contains("serve.request.latency_count{route=\"/run\"}"), "{rendered}");
+
+        shutdown.store(true, Ordering::Relaxed);
+        thread.join().unwrap();
+    }
+
+    /// Twenty keep-alive POSTs back to back on one connection, each
+    /// request in one write. A response whose head left apart from its
+    /// body waited for the client's delayed ACK: about 48 ms a round trip.
+    #[test]
+    fn back_to_back_keep_alive_posts_do_not_wait_for_a_delayed_ack() {
+        let (addr, shutdown, thread) = spawn(ServeConfig::default());
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let request = post_run(DATA, false);
+        let mut round_trips = Vec::new();
+        for _ in 0..20 {
+            let started = Instant::now();
+            stream.write_all(request.as_bytes()).unwrap();
+            let (status, _, body) = read_response(&mut stream);
+            round_trips.push(started.elapsed());
+            assert_eq!(status, 200, "{body}");
+        }
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(median < Duration::from_millis(20), "median {median:?} of {round_trips:?}");
+
+        shutdown.store(true, Ordering::Relaxed);
+        thread.join().unwrap();
+    }
+
+    /// The access record of a request read off `/log/recent`: its
+    /// `latency_us` and its phases by name.
+    fn phases_of(record: &json::Value) -> (u64, BTreeMap<&'static str, u64>) {
+        let latency_us = record.get("latency_us").and_then(|v| v.as_u64()).unwrap();
+        let phases = qurator_telemetry::accesslog::PHASES
+            .iter()
+            .map(|&phase| {
+                let ns =
+                    record.get("phases_ns").and_then(|p| p.get(phase)).and_then(|v| v.as_u64());
+                (phase, ns.unwrap_or_else(|| panic!("no {phase} phase in {record:?}")))
+            })
+            .collect();
+        (latency_us, phases)
+    }
+
+    /// A run's record, read back on the same connection, times it in six
+    /// phases that sum to its latency; a request refused before routing
+    /// reaches only read and write.
+    #[test]
+    fn access_records_split_each_request_into_phases() {
+        let (addr, shutdown, thread) = spawn(ServeConfig::default());
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(post_run(DATA, false).as_bytes()).unwrap();
+        let (status, head, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "{body}");
+        let run_id = head.lines().find_map(|l| l.strip_prefix("X-QV-Run-Id: ")).unwrap();
+        stream.write_all(get("/log/recent", true).as_bytes()).unwrap();
+        let (_, _, log) = read_response(&mut stream);
+        let records: Vec<json::Value> = log.lines().map(|l| json::parse(l).unwrap()).collect();
+        let run = records
+            .iter()
+            .find(|r| r.get("run_id").and_then(|v| v.as_str()) == Some(run_id))
+            .unwrap_or_else(|| panic!("no record of run {run_id} in {log}"));
+        let (latency_us, phases) = phases_of(run);
+        let sum: u64 = phases.values().sum();
+        assert!(sum.abs_diff(latency_us * 1_000) <= 1_000, "{sum} ns vs {latency_us} µs");
+        assert!(phases["execute"] > 0, "{phases:?}");
+
+        // a malformed request line: read, then the canned 400's write
+        let bad = request(addr, "BROKEN\r\n\r\n");
+        assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
+        let log = request(addr, &get("/log/recent?limit=1", true));
+        let record = json::parse(log.split("\r\n\r\n").nth(1).unwrap().trim()).unwrap();
+        assert_eq!(record.get("status").and_then(|v| v.as_u64()), Some(400), "{log}");
+        let (latency_us, phases) = phases_of(&record);
+        for phase in ["parse", "execute", "flush", "serialize"] {
+            assert_eq!(phases[phase], 0, "{phase}: {phases:?}");
+        }
+        let sum = phases["read"] + phases["write"];
+        assert!(sum.abs_diff(latency_us * 1_000) <= 1_000, "{sum} ns vs {latency_us} µs");
 
         shutdown.store(true, Ordering::Relaxed);
         thread.join().unwrap();

@@ -7,6 +7,9 @@
 //! access-log line is the entry point into the full correlation chain
 //! (trace → ledger → stats) via `GET /runs/<id>`.
 //!
+//! A record times its request from the first byte read to the last byte
+//! written, split into the six [`PHASES`] by a [`PhaseClock`].
+//!
 //! One lock guards the sequence counter, the sink and the ring, so the
 //! file holds its lines in `seq` order and the ring holds exactly its
 //! capacity once full. `qv serve` records a few dozen requests a second,
@@ -17,6 +20,58 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
+use std::time::Instant;
+
+/// The phases of one request, in the order they run: the keys of an
+/// access record's `phases_ns`.
+pub const PHASES: [&str; 6] = ["read", "parse", "execute", "flush", "serialize", "write"];
+
+/// One of the [`PHASES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// From the first byte of the request read until the request is framed.
+    Read,
+    /// The request body parsed into a data set.
+    Parse,
+    /// The engine run, or the handler of a route that runs no view.
+    Execute,
+    /// The store flush before a run is acknowledged.
+    Flush,
+    /// The response body and head written into one buffer.
+    Serialize,
+    /// That buffer written to the socket.
+    Write,
+}
+
+/// Times a request's phases by contiguous clock reads: each
+/// [`PhaseClock::mark`] charges the time since the previous read to one
+/// phase, so the phases sum exactly to the time from the first read to
+/// the last. A phase never marked stays 0.
+#[derive(Debug, Clone)]
+pub struct PhaseClock {
+    last: Instant,
+    phases_ns: [u64; 6],
+}
+
+impl PhaseClock {
+    /// A clock whose first read is `start`.
+    pub fn starting_at(start: Instant) -> PhaseClock {
+        PhaseClock { last: start, phases_ns: [0; 6] }
+    }
+
+    /// Reads the clock and charges the time since the previous read to
+    /// `phase`.
+    pub fn mark(&mut self, phase: Phase) {
+        let now = Instant::now();
+        self.phases_ns[phase as usize] += now.duration_since(self.last).as_nanos() as u64;
+        self.last = now;
+    }
+
+    /// Nanoseconds per phase, in [`PHASES`] order.
+    pub fn phases_ns(&self) -> [u64; 6] {
+        self.phases_ns
+    }
+}
 
 /// One served request (or early failure), as recorded by the server.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +89,9 @@ pub struct AccessRecord {
     pub status: u16,
     /// Response body bytes.
     pub bytes: u64,
-    /// Wall time from request receipt to response write.
-    pub latency_us: u64,
+    /// Nanoseconds per phase, in [`PHASES`] order, from the first byte
+    /// of the request read to the last byte of the response written.
+    pub phases_ns: [u64; 6],
     /// The run minted for this request, when it executed a view.
     pub run_id: Option<RunId>,
     /// The request was shed by admission control (503 + Retry-After).
@@ -45,17 +101,27 @@ pub struct AccessRecord {
 }
 
 impl AccessRecord {
+    /// The request's wall time in microseconds: the phases' sum.
+    pub fn latency_us(&self) -> u64 {
+        self.phases_ns.iter().sum::<u64>() / 1_000
+    }
+
     /// The record as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let run = match self.run_id {
             Some(id) => format!("\"{id}\""),
             None => "null".to_string(),
         };
+        let phases: Vec<String> = PHASES
+            .iter()
+            .zip(self.phases_ns)
+            .map(|(name, ns)| format!("\"{name}\":{ns}"))
+            .collect();
         format!(
             concat!(
                 "{{\"type\":\"access\",\"seq\":{},\"ts_ms\":{},\"peer\":\"{}\",",
                 "\"route\":\"{}\",\"status\":{},\"bytes\":{},\"latency_us\":{},",
-                "\"run_id\":{},\"shed\":{},\"timeout\":{}}}"
+                "\"phases_ns\":{{{}}},\"run_id\":{},\"shed\":{},\"timeout\":{}}}"
             ),
             self.seq,
             self.ts_ms,
@@ -63,7 +129,8 @@ impl AccessRecord {
             crate::json::escape(&self.route),
             self.status,
             self.bytes,
-            self.latency_us,
+            self.latency_us(),
+            phases.join(","),
             run,
             self.shed,
             self.timeout,
@@ -161,7 +228,7 @@ mod tests {
             route: route.into(),
             status,
             bytes: 42,
-            latency_us: 120,
+            phases_ns: [80_000, 20_000, 15_500, 0, 3_000, 1_700],
             run_id: Some(RunId::from_u64(0xABCD)),
             shed: false,
             timeout: false,
@@ -191,12 +258,34 @@ mod tests {
         let mut shed = record("-", 503);
         shed.run_id = None;
         shed.shed = true;
+        shed.phases_ns = [0, 0, 0, 0, 0, 41_000];
         log.record(shed);
         let jsonl = log.recent_jsonl(usize::MAX);
         crate::schema::validate_access_log_jsonl(&jsonl).unwrap();
         assert!(jsonl.contains("\"run_id\":\"000000000000abcd\""));
         assert!(jsonl.contains("\"run_id\":null"));
         assert!(jsonl.contains("\"shed\":true"));
+        // the phases in their order, and latency_us their sum in µs
+        assert!(jsonl.contains(concat!(
+            "\"latency_us\":120,\"phases_ns\":{\"read\":80000,\"parse\":20000,",
+            "\"execute\":15500,\"flush\":0,\"serialize\":3000,\"write\":1700}"
+        )));
+        assert!(jsonl.contains("\"latency_us\":41,"));
+    }
+
+    #[test]
+    fn phase_clock_charges_each_interval_to_one_phase() {
+        let start = Instant::now();
+        let mut clock = PhaseClock::starting_at(start);
+        clock.mark(Phase::Read);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        clock.mark(Phase::Execute);
+        clock.mark(Phase::Write);
+        let elapsed = start.elapsed().as_nanos() as u64;
+        let [read, parse, execute, flush, serialize, write] = clock.phases_ns();
+        assert!(execute >= 2_000_000, "{execute}");
+        assert_eq!((parse, flush, serialize), (0, 0, 0), "unmarked phases stay 0");
+        assert!(read + execute + write <= elapsed);
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod tests {
             route: "/run".into(),
             status: 200,
             bytes: 2,
-            latency_us: 3,
+            phases_ns: [1_000, 0, 2_000, 0, 0, 500],
             run_id: Some(crate::runid::RunId::from_u64(7)),
             shed: false,
             timeout: false,

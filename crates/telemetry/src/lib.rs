@@ -63,7 +63,7 @@ pub mod schema;
 pub mod span;
 pub mod stats;
 
-pub use accesslog::{AccessLog, AccessRecord};
+pub use accesslog::{AccessLog, AccessRecord, Phase, PhaseClock};
 pub use ledger::{ActionRecord, AssertionRecord, DecisionTrace, EvidenceRecord};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::Profile;

@@ -3,6 +3,7 @@
 //! `--metrics-out` and feeds the files through these validators, so the
 //! export format can't silently drift.
 
+use crate::accesslog::PHASES;
 use crate::json::{parse, Value};
 
 /// Validates a span JSON-lines document (as produced by
@@ -115,7 +116,9 @@ pub fn validate_trace_jsonl(input: &str) -> Result<usize, String> {
 ///
 /// Checks per line: valid JSON object; `type == "access"`; `seq`,
 /// `ts_ms`, `status`, `bytes` and `latency_us` non-negative integers
-/// with `status` a plausible HTTP code; `peer` and `route` strings;
+/// with `status` a plausible HTTP code; `phases_ns` an object holding
+/// exactly the six [`crate::accesslog::PHASES`] as non-negative integers
+/// that sum to `latency_us` within 1 µs; `peer` and `route` strings;
 /// `run_id` null or a 16-hex-char string; `shed` and `timeout`
 /// booleans; `seq` unique across the file.
 pub fn validate_access_log_jsonl(input: &str) -> Result<usize, String> {
@@ -140,8 +143,32 @@ pub fn validate_access_log_jsonl(input: &str) -> Result<usize, String> {
         if !seqs.insert(seq) {
             return Err(format!("line {n}: duplicate access-log seq {seq}"));
         }
-        for key in ["ts_ms", "bytes", "latency_us"] {
+        for key in ["ts_ms", "bytes"] {
             field(key)?.as_u64().ok_or_else(|| format!("line {n}: {key} must be an integer"))?;
+        }
+        let latency_us = field("latency_us")?
+            .as_u64()
+            .ok_or_else(|| format!("line {n}: latency_us must be an integer"))?;
+        let phases = field("phases_ns")?
+            .as_object()
+            .ok_or_else(|| format!("line {n}: phases_ns must be an object"))?;
+        if let Some(unknown) = phases.keys().find(|k| !PHASES.contains(&k.as_str())) {
+            return Err(format!("line {n}: unknown phase {unknown:?} in phases_ns"));
+        }
+        let mut sum_ns = 0u64;
+        for phase in PHASES {
+            sum_ns += phases
+                .get(phase)
+                .ok_or_else(|| format!("line {n}: phases_ns is missing {phase:?}"))?
+                .as_u64()
+                .ok_or_else(|| {
+                    format!("line {n}: phases_ns.{phase} must be a non-negative integer")
+                })?;
+        }
+        if sum_ns.abs_diff(latency_us.saturating_mul(1_000)) > 1_000 {
+            return Err(format!(
+                "line {n}: phases_ns sum to {sum_ns} ns, not latency_us {latency_us} within 1 µs"
+            ));
         }
         let status = field("status")?
             .as_u64()
@@ -461,8 +488,8 @@ mod tests {
     #[test]
     fn accepts_and_rejects_access_log_lines() {
         let ok = concat!(
-            "{\"type\":\"access\",\"seq\":0,\"ts_ms\":1700000000000,\"peer\":\"127.0.0.1:9\",\"route\":\"/run\",\"status\":200,\"bytes\":120,\"latency_us\":900,\"run_id\":\"00000000deadbeef\",\"shed\":false,\"timeout\":false}\n",
-            "{\"type\":\"access\",\"seq\":1,\"ts_ms\":1700000000001,\"peer\":\"-\",\"route\":\"-\",\"status\":503,\"bytes\":0,\"latency_us\":0,\"run_id\":null,\"shed\":true,\"timeout\":false}\n",
+            "{\"type\":\"access\",\"seq\":0,\"ts_ms\":1700000000000,\"peer\":\"127.0.0.1:9\",\"route\":\"/run\",\"status\":200,\"bytes\":120,\"latency_us\":900,\"phases_ns\":{\"read\":100000,\"parse\":50000,\"execute\":600000,\"flush\":20000,\"serialize\":30000,\"write\":100400},\"run_id\":\"00000000deadbeef\",\"shed\":false,\"timeout\":false}\n",
+            "{\"type\":\"access\",\"seq\":1,\"ts_ms\":1700000000001,\"peer\":\"-\",\"route\":\"-\",\"status\":503,\"bytes\":0,\"latency_us\":0,\"phases_ns\":{\"read\":0,\"parse\":0,\"execute\":0,\"flush\":0,\"serialize\":0,\"write\":800},\"run_id\":null,\"shed\":true,\"timeout\":false}\n",
         );
         assert_eq!(validate_access_log_jsonl(ok).unwrap(), 2);
 
@@ -474,6 +501,51 @@ mod tests {
         assert!(validate_access_log_jsonl(&bad_run).unwrap_err().contains("16 hex"));
         let bad_type = ok.replace("\"type\":\"access\"", "\"type\":\"span\"");
         assert!(validate_access_log_jsonl(&bad_type).unwrap_err().contains("access"));
+    }
+
+    #[test]
+    fn access_log_phases_are_required_and_sum_to_the_latency() {
+        let line = |latency_us: u64, phases: &str| {
+            format!(
+                "{{\"type\":\"access\",\"seq\":0,\"ts_ms\":1,\"peer\":\"-\",\"route\":\"/run\",\"status\":200,\"bytes\":2,\"latency_us\":{latency_us},\"phases_ns\":{phases},\"run_id\":null,\"shed\":false,\"timeout\":false}}\n"
+            )
+        };
+        // 4,000 ns in all, optionally without one phase
+        let phases = |without: Option<&str>| {
+            let members: Vec<String> = PHASES
+                .iter()
+                .zip([1_000, 0, 2_500, 0, 0, 500])
+                .filter(|(phase, _)| Some(**phase) != without)
+                .map(|(phase, ns)| format!("\"{phase}\":{ns}"))
+                .collect();
+            format!("{{{}}}", members.join(","))
+        };
+        let all = phases(None);
+        assert_eq!(validate_access_log_jsonl(&line(4, &all)).unwrap(), 1);
+        // within 1 µs either way
+        assert_eq!(validate_access_log_jsonl(&line(3, &all)).unwrap(), 1);
+        assert_eq!(validate_access_log_jsonl(&line(5, &all)).unwrap(), 1);
+
+        // a missing phase
+        for phase in PHASES {
+            let err = validate_access_log_jsonl(&line(4, &phases(Some(phase)))).unwrap_err();
+            assert!(err.contains(&format!("phases_ns is missing \"{phase}\"")), "{err}");
+        }
+        let no_phases = line(4, "null").replace(",\"phases_ns\":null", "");
+        let err = validate_access_log_jsonl(&no_phases).unwrap_err();
+        assert!(err.contains("missing key \"phases_ns\""), "{err}");
+        let unknown = all.replace("\"flush\"", "\"fsync\"");
+        let err = validate_access_log_jsonl(&line(4, &unknown)).unwrap_err();
+        assert!(err.contains("unknown phase \"fsync\""), "{err}");
+        let negative = all.replace("\"write\":500", "\"write\":-500");
+        let err = validate_access_log_jsonl(&line(3, &negative)).unwrap_err();
+        assert!(err.contains("phases_ns.write must be a non-negative integer"), "{err}");
+
+        // a sum that disagrees with latency_us by more than 1 µs
+        let err = validate_access_log_jsonl(&line(6, &all)).unwrap_err();
+        assert!(err.contains("phases_ns sum to 4000 ns, not latency_us 6"), "{err}");
+        let err = validate_access_log_jsonl(&line(2, &all)).unwrap_err();
+        assert!(err.contains("not latency_us 2"), "{err}");
     }
 
     #[test]
